@@ -9,7 +9,7 @@
 //! repro faults-smoke   # 1-app seeded campaign + determinism check
 //! repro frontier       # entropy/security frontier sweep (Pareto table)
 //! repro frontier --shard 0/2  # one shard of the sweep (fleet node)
-//! repro frontier-smoke # 2-point sweep + thread-determinism check
+//! repro frontier-smoke # full sweep: thread-stable, equal to results/frontier/
 //! repro throughput     # superblock fast-path rate on the no-stall program
 //! repro telemetry-smoke  # manifests + checkpoints byte-identical, tap on vs off
 //! repro multicore-smoke  # VCFR+base shared-L2 cells, rerand mid-run, thread-stable
@@ -146,25 +146,22 @@ fn run_frontier_cmd(
     rows
 }
 
-/// Tiny end-to-end check of the frontier: two entropy points on a
-/// capped budget, manifests byte-identical across worker-thread counts,
-/// span strictly growing with entropy, and the manifest round-trip
-/// reproducing every headline number.
+/// End-to-end check of the frontier: the full five-point campaign at 1
+/// and 2 worker threads, manifests byte-identical across thread counts
+/// and equal (host block stripped) to the checked-in
+/// `results/frontier/*.json`, span strictly growing with entropy, and
+/// the manifest round-trip reproducing every headline number.
 fn frontier_smoke() -> bool {
-    let mut w = vcfr_workloads::by_name(FRONTIER_APP).expect("frontier app exists");
-    w.max_insts = w.max_insts.min(40_000);
-    let points = [
-        vcfr_bench::FrontierPoint { entropy_bits: 13, sparsity: 2 },
-        vcfr_bench::FrontierPoint { entropy_bits: 17, sparsity: 2 },
-    ];
-    let fz = vcfr_gadget::FuzzConfig {
-        trials: 4,
-        probes_per_trial: 24,
-        ..vcfr_bench::frontier_fuzz_config()
-    };
+    let w = vcfr_workloads::by_name(FRONTIER_APP).expect("frontier app exists");
+    let points = vcfr_bench::FRONTIER_POINTS;
+    let fz = vcfr_bench::frontier_fuzz_config();
+    let checked_in = Path::new("results/frontier");
     eprintln!(
-        "frontier-smoke: {FRONTIER_APP} x {{e13, e17}}, {} inst budget, {} trials x {} probes",
-        w.max_insts, fz.trials, fz.probes_per_trial
+        "frontier-smoke: {FRONTIER_APP} x {} points, {} trials x {} probes, against {}/",
+        points.len(),
+        fz.trials,
+        fz.probes_per_trial,
+        checked_in.display()
     );
     let mut ok = true;
 
@@ -180,12 +177,33 @@ fn frontier_smoke() -> bool {
             println!("PASS {:<28} thread-stable", a.file_name());
         }
     }
-    if rows1[0].span_bytes >= rows1[1].span_bytes {
-        eprintln!(
-            "FAIL: span must grow with entropy ({} vs {})",
-            rows1[0].span_bytes, rows1[1].span_bytes
-        );
-        ok = false;
+    for m in &ms1 {
+        let path = checked_in.join(m.file_name());
+        let stored = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| Manifest::from_str(&text).map_err(|e| e.to_string()));
+        match stored {
+            Ok(s) if s.canonical_bytes() == m.canonical_bytes() => {
+                println!("PASS {:<28} matches {}", m.file_name(), path.display());
+            }
+            Ok(_) => {
+                eprintln!("FAIL {}: canonical bytes differ from {}", m.file_name(), path.display());
+                ok = false;
+            }
+            Err(e) => {
+                eprintln!("FAIL {}: cannot read {}: {e}", m.file_name(), path.display());
+                ok = false;
+            }
+        }
+    }
+    for pair in rows1.windows(2) {
+        if pair[0].span_bytes >= pair[1].span_bytes {
+            eprintln!(
+                "FAIL: span must grow with entropy ({} vs {})",
+                pair[0].span_bytes, pair[1].span_bytes
+            );
+            ok = false;
+        }
     }
     for (row, m) in rows1.iter().zip(&ms1) {
         match manifests::frontier_summary_from_manifest(m) {

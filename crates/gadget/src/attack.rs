@@ -110,7 +110,7 @@ impl<'a> AttackSurface<'a> {
     /// Launches a chain against the original (un-randomized) binary, as
     /// an exploited `ret` would.
     pub fn launch(&self, stack_words: &[u64], budget: u64) -> ChainRun {
-        run_chain(Machine::new(self.image), self.image.stack_top, stack_words, budget)
+        run_chain(&mut Machine::new(self.image), self.image.stack_top, stack_words, budget)
     }
 
     /// Launches a chain against the binary under `rp`'s randomization:
@@ -122,7 +122,24 @@ impl<'a> AttackSurface<'a> {
         stack_words: &[u64],
         budget: u64,
     ) -> ChainRun {
-        run_chain(rp.scattered_machine(), rp.scattered.stack_top, stack_words, budget)
+        run_chain(&mut rp.scattered_machine(), rp.scattered.stack_top, stack_words, budget)
+    }
+
+    /// [`AttackSurface::launch_against`] on a reused machine: resets
+    /// `machine` — which must come from `rp.scattered_machine()`, fresh
+    /// or left over from earlier launches — and runs the chain on it.
+    /// The result is the one a fresh `launch_against` returns, at a cost
+    /// proportional to what the previous launch touched rather than to
+    /// the randomization span.
+    pub fn launch_reusing(
+        &self,
+        rp: &RandomizedProgram,
+        machine: &mut Machine,
+        stack_words: &[u64],
+        budget: u64,
+    ) -> ChainRun {
+        machine.reset(&rp.scattered);
+        run_chain(machine, rp.scattered.stack_top, stack_words, budget)
     }
 
     /// The full before/after comparison (Figure 11's pipeline).
@@ -133,8 +150,8 @@ impl<'a> AttackSurface<'a> {
 
 /// Writes `stack_words` below `stack_top`, aims the stack pointer past
 /// the first entry, jumps to it, and runs — the shared chain launcher
-/// behind [`AttackSurface::launch`] and [`AttackSurface::launch_against`].
-fn run_chain(mut m: Machine, stack_top: Addr, stack_words: &[u64], budget: u64) -> ChainRun {
+/// behind every `AttackSurface::launch*` method.
+fn run_chain(m: &mut Machine, stack_top: Addr, stack_words: &[u64], budget: u64) -> ChainRun {
     let base = stack_top.wrapping_sub((stack_words.len() as Addr + 4) * 8);
     for (i, w) in stack_words.iter().enumerate() {
         m.mem_mut().write_u64(base + (i as Addr) * 8, *w);

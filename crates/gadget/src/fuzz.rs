@@ -137,7 +137,10 @@ pub fn seed_corpus(surface: &AttackSurface<'_>) -> Vec<Vec<u64>> {
 }
 
 /// Runs one trial: randomize with a trial-specific layout seed, then
-/// probe. Pure function of its arguments — shard freely.
+/// probe. Every probe runs on the trial's one scattered machine, reset
+/// in between ([`AttackSurface::launch_reusing`]), and returns what a
+/// fresh [`AttackSurface::launch_against`] would. Pure function of its
+/// arguments — shard freely.
 pub fn fuzz_trial(
     surface: &AttackSurface<'_>,
     seeds: &[Vec<u64>],
@@ -169,6 +172,8 @@ pub fn fuzz_trial(
     let mut hot: Vec<Addr> = Vec::new();
     let mut pages: BTreeSet<Addr> = BTreeSet::new();
     let mut chains_extended = 0usize;
+    // One scattered machine per trial, reset before every probe.
+    let mut machine = rp.scattered_machine();
 
     for probe in 0..fz.probes_per_trial {
         // Half the probes jitter around known code, half explore blind.
@@ -182,7 +187,7 @@ pub fn fuzz_trial(
         let pick = (splitmix64(&mut state) % corpus.len() as u64) as usize;
         let mut words = corpus[pick].clone();
         words[0] = u64::from(guess);
-        let run = surface.launch_against(&rp, &words, fz.exec_budget);
+        let run = surface.launch_reusing(&rp, &mut machine, &words, fz.exec_budget);
         if run.shell() {
             return TrialReport {
                 trial,

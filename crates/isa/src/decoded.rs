@@ -1,12 +1,16 @@
-//! Dense decoded-instruction index over a program's code ranges.
+//! Decoded-instruction index over a program's code ranges.
 //!
-//! The interpreter assumes W^X, so each program counter decodes to the
-//! same instruction for the life of a [`crate::Machine`]. A `HashMap`
-//! memo pays a hash per executed instruction; this index instead keeps
-//! one `u32` slot per *byte* of every code range, pointing into a shared
-//! instruction pool. A fetch is then: locate the range (programs have
-//! one or two), index the slot, index the pool — no hashing anywhere on
-//! the per-instruction path.
+//! The interpreter memoises each decoded instruction per program
+//! counter. A `HashMap` memo pays a hash per executed instruction; this
+//! index instead keeps one `u32` slot per *byte* of every code range,
+//! pointing into a shared instruction pool. A fetch is then: locate the
+//! range (programs have one or two), index the slot, index the pool — no
+//! hashing anywhere on the per-instruction path.
+//!
+//! The slots are lazily chunked ([`crate::slots`]): a scattered layout
+//! spreads a few thousand instructions over a region of up to 2^29
+//! bytes, and only the 1 KiB stretches that hold a decoded instruction
+//! (or an ILR fall-through successor) cost host memory.
 //!
 //! The same byte-granular layout carries the ILR fall-through successor
 //! map (the rewriter's "rewrite rules"), which the interpreter consults
@@ -14,41 +18,33 @@
 
 use crate::image::{Image, SectionKind};
 use crate::inst::Inst;
+use crate::slots::{ByteSlots, EMPTY};
 use crate::Addr;
 use std::collections::HashMap;
 
-/// Slot value for "not decoded yet".
-const NO_SLOT: u32 = u32::MAX;
-/// Fall-through value for "no explicit successor" (fall back to
-/// `pc + len`). No instruction can start at the last byte of the address
-/// space, so the value is unambiguous; entries that would collide go to
-/// the spill map.
-const NO_FALL: Addr = Addr::MAX;
-
 #[derive(Clone, Debug)]
 struct CodeRange {
-    lo: Addr,
-    hi: Addr,
-    /// Byte offset → pool slot ([`NO_SLOT`] when not decoded).
-    slots: Vec<u32>,
-    /// Byte offset → fall-through successor ([`NO_FALL`] when absent).
-    /// Empty until a fall-through map is installed.
-    fall: Vec<Addr>,
+    /// Byte → pool slot ([`EMPTY`] when not decoded).
+    slots: ByteSlots,
+    /// Byte → fall-through successor ([`EMPTY`] when absent: fall back
+    /// to `pc + len`). No instruction can start at the last byte of the
+    /// address space, so a successor never legitimately equals the
+    /// sentinel; entries that would collide go to the spill map.
+    fall: ByteSlots,
 }
 
 impl CodeRange {
     fn new(lo: Addr, hi: Addr) -> CodeRange {
-        let len = hi.wrapping_sub(lo) as usize;
-        CodeRange { lo, hi, slots: vec![NO_SLOT; len], fall: Vec::new() }
+        CodeRange { slots: ByteSlots::new(lo, hi), fall: ByteSlots::new(lo, hi) }
     }
 
     #[inline]
     fn contains(&self, addr: Addr) -> bool {
-        addr >= self.lo && addr < self.hi
+        self.slots.contains(addr)
     }
 }
 
-/// A lazily-filled dense index of decoded instructions (plus the ILR
+/// A lazily-filled index of decoded instructions (plus the ILR
 /// fall-through successors) across a program's code ranges.
 ///
 /// # Example
@@ -104,9 +100,8 @@ impl DecodedImage {
     /// The memoised instruction at `pc`, when one has been recorded.
     #[inline]
     pub fn get(&self, pc: Addr) -> Option<Inst> {
-        let r = self.find(pc)?;
-        let slot = r.slots[pc.wrapping_sub(r.lo) as usize];
-        if slot == NO_SLOT {
+        let slot = self.find(pc)?.slots.get(pc);
+        if slot == EMPTY {
             None
         } else {
             Some(self.pool[slot as usize])
@@ -121,10 +116,20 @@ impl DecodedImage {
         let Some(r) = self.ranges.iter_mut().find(|r| r.contains(pc)) else {
             return;
         };
-        let entry = &mut r.slots[pc.wrapping_sub(r.lo) as usize];
-        if *entry == NO_SLOT {
-            *entry = slot;
+        if r.slots.get(pc) == EMPTY {
+            r.slots.set(pc, slot);
             self.pool.push(inst);
+        }
+    }
+
+    /// Forgets every memoised instruction, keeping the ranges and the
+    /// fall-through map. A machine that is reset between runs calls
+    /// this, so the memo lives for one run and an instruction written
+    /// into a code range during one run is never served to the next.
+    pub fn clear_memo(&mut self) {
+        self.pool.clear();
+        for r in &mut self.ranges {
+            r.slots.clear();
         }
     }
 
@@ -137,13 +142,7 @@ impl DecodedImage {
         self.has_fall = !map.is_empty();
         for (&pc, &succ) in map {
             match self.ranges.iter_mut().find(|r| r.contains(pc)) {
-                Some(r) if succ != NO_FALL => {
-                    if r.fall.is_empty() {
-                        let len = r.hi.wrapping_sub(r.lo) as usize;
-                        r.fall = vec![NO_FALL; len];
-                    }
-                    r.fall[pc.wrapping_sub(r.lo) as usize] = succ;
-                }
+                Some(r) if succ != EMPTY => r.fall.set(pc, succ),
                 _ => {
                     self.fall_spill.insert(pc, succ);
                 }
@@ -158,11 +157,9 @@ impl DecodedImage {
             return None;
         }
         if let Some(r) = self.find(pc) {
-            if !r.fall.is_empty() {
-                let succ = r.fall[pc.wrapping_sub(r.lo) as usize];
-                if succ != NO_FALL {
-                    return Some(succ);
-                }
+            let succ = r.fall.get(pc);
+            if succ != EMPTY {
+                return Some(succ);
             }
             // Ranges never hold sentinel-valued successors, but a spill
             // entry may shadow an in-range pc that set_fallthrough could
@@ -233,7 +230,22 @@ mod tests {
     }
 
     #[test]
-    fn fallthrough_dense_and_spill() {
+    fn clear_memo_forgets_instructions_but_keeps_the_fall_map() {
+        let mut d = DecodedImage::new(&img(&[(0x1000, 16)]));
+        let mut m = HashMap::new();
+        m.insert(0x1004u32, 0x100au32);
+        d.set_fallthrough(&m);
+        d.insert(0x1000, Inst::Nop);
+        d.clear_memo();
+        assert!(d.get(0x1000).is_none());
+        assert_eq!(d.decoded_count(), 0);
+        assert_eq!(d.fall(0x1004), Some(0x100a));
+        d.insert(0x1000, Inst::Halt);
+        assert_eq!(d.get(0x1000), Some(Inst::Halt));
+    }
+
+    #[test]
+    fn fallthrough_in_range_and_spill() {
         let mut d = DecodedImage::new(&img(&[(0x1000, 16)]));
         assert_eq!(d.fall(0x1000), None);
         let mut m = HashMap::new();
@@ -252,8 +264,8 @@ mod tests {
     fn sentinel_valued_successor_spills() {
         let mut d = DecodedImage::new(&img(&[(0x1000, 16)]));
         let mut m = HashMap::new();
-        m.insert(0x1002u32, NO_FALL);
+        m.insert(0x1002u32, EMPTY);
         d.set_fallthrough(&m);
-        assert_eq!(d.fall(0x1002), Some(NO_FALL));
+        assert_eq!(d.fall(0x1002), Some(EMPTY));
     }
 }

@@ -1,5 +1,6 @@
 //! The loadable binary image format.
 
+use crate::mem::PAGE_SIZE;
 use crate::{Addr, Mem};
 
 /// Classifies a [`Section`].
@@ -137,6 +138,35 @@ impl Image {
         }
     }
 
+    /// Fills `page` (zeroed, one 4 KiB page long) with what
+    /// [`Image::load_into`] puts in the page at `base`, and returns
+    /// whether it maps that page at all. Later sections overwrite earlier
+    /// ones, and a section may wrap at the top of the address space, as
+    /// in `load_into`.
+    pub(crate) fn copy_page(&self, base: Addr, page: &mut [u8]) -> bool {
+        debug_assert_eq!(page.len(), PAGE_SIZE);
+        let size = PAGE_SIZE as u64;
+        let mut mapped = false;
+        for s in &self.sections {
+            let len = s.bytes.len() as u64;
+            // The page starts inside the section...
+            let into = u64::from(base.wrapping_sub(s.base));
+            if into < len {
+                let n = (len - into).min(size) as usize;
+                page[..n].copy_from_slice(&s.bytes[into as usize..into as usize + n]);
+                mapped = true;
+            }
+            // ...or the section starts inside the page.
+            let lead = u64::from(s.base.wrapping_sub(base));
+            if lead > 0 && lead < size && len > 0 {
+                let n = (size - lead).min(len) as usize;
+                page[lead as usize..lead as usize + n].copy_from_slice(&s.bytes[..n]);
+                mapped = true;
+            }
+        }
+        mapped
+    }
+
     /// Total size of all sections in bytes.
     pub fn loaded_size(&self) -> usize {
         self.sections.iter().map(|s| s.bytes.len()).sum()
@@ -181,6 +211,33 @@ mod tests {
         let img = tiny_image();
         assert_eq!(img.symbol("main").unwrap().addr, 0x1000);
         assert!(img.symbol("missing").is_none());
+    }
+
+    #[test]
+    fn copy_page_matches_load_into() {
+        let mut img = tiny_image();
+        // A section straddling a page boundary, one wrapping at the top of
+        // the address space, and a later section overwriting an earlier one.
+        img.sections.push(Section { kind: SectionKind::Data, base: 0x1ffe, bytes: vec![9; 5] });
+        img.sections.push(Section {
+            kind: SectionKind::Data,
+            base: Addr::MAX - 1,
+            bytes: vec![4; 4],
+        });
+        img.sections.push(Section { kind: SectionKind::Data, base: 0x8004, bytes: vec![5; 2] });
+        let mut mem = Mem::new();
+        img.load_into(&mut mem);
+        let mut mapped = 0;
+        for base in [0u32, 0x1000, 0x2000, 0x3000, 0x8000, 0xffff_f000] {
+            let mut page = vec![0u8; PAGE_SIZE];
+            let mut want = vec![0u8; PAGE_SIZE];
+            mem.read_bytes(base, &mut want);
+            let hit = img.copy_page(base, &mut page);
+            assert_eq!(page, want, "page {base:#x}");
+            mapped += usize::from(hit);
+            assert_eq!(hit, base != 0x3000, "page {base:#x}");
+        }
+        assert_eq!(mapped, mem.page_count());
     }
 
     #[test]

@@ -51,6 +51,7 @@ mod mem;
 mod parse;
 mod persist;
 mod reg;
+mod slots;
 mod superblock;
 pub mod wire;
 

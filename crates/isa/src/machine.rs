@@ -8,7 +8,8 @@
 //! the execution engine underneath every timing experiment).
 //!
 //! The interpreter assumes W^X: programs do not modify their own text.
-//! Decoded instructions are memoised per program counter.
+//! Decoded instructions are memoised per program counter until the
+//! machine is [reset](Machine::reset), so the memo lives for one run.
 
 use crate::decoded::DecodedImage;
 use crate::error::{DecodeError, ExecError};
@@ -177,6 +178,7 @@ impl Machine {
     pub fn new(image: &Image) -> Machine {
         let mut mem = Mem::new();
         image.load_into(&mut mem);
+        mem.mark_clean();
         let mut regs = [0u64; 16];
         regs[Reg::Rsp.index()] = image.stack_top as u64;
         Machine {
@@ -202,6 +204,31 @@ impl Machine {
     /// scattered-space displacements keeps full control.
     pub fn set_fallthrough_map(&mut self, map: HashMap<Addr, Addr>) {
         self.decoded.set_fallthrough(&map);
+    }
+
+    /// Returns the machine to the state [`Machine::new`] built it in,
+    /// without rebuilding it: registers, flags, program counter, output,
+    /// step count and stop reason start over, every page written since
+    /// (including pages only a write mapped) is put back from `image`'s
+    /// sections, and the decoded-instruction memo is cleared. The
+    /// fall-through map and any added code ranges are kept.
+    ///
+    /// `image` must be the image the machine was created from. The cost
+    /// is proportional to the pages written, not to the image, so one
+    /// machine can serve many short runs: the gadget fuzzer resets one
+    /// machine per probe instead of building one. Clearing the memo makes
+    /// a run that writes into a code range and then executes the bytes it
+    /// wrote behave exactly as it would on a fresh machine.
+    pub fn reset(&mut self, image: &Image) {
+        self.mem.revert_dirty(|base, page| image.copy_page(base, page));
+        self.regs = [0; 16];
+        self.regs[Reg::Rsp.index()] = image.stack_top as u64;
+        self.flags = Flags::default();
+        self.pc = image.entry;
+        self.output.clear();
+        self.stopped = None;
+        self.steps = 0;
+        self.decoded.clear_memo();
     }
 
     /// Additionally permits control transfers into `[lo, hi)`. Used when a
@@ -764,7 +791,7 @@ impl From<(Addr, DecodeError)> for ExecError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Asm;
+    use crate::{encode, Asm};
 
     fn run_asm(build: impl FnOnce(&mut Asm)) -> RunOutcome {
         let mut a = Asm::new(0x1000);
@@ -1030,6 +1057,74 @@ mod tests {
         let b = back.run(100_000).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.output, vec![150]);
+    }
+
+    fn saved(m: &Machine) -> Vec<u8> {
+        let mut w = Writer::with_magic(*b"VCFRTEST");
+        m.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn reset_matches_a_fresh_machine() {
+        let mut a = Asm::new(0x1000);
+        a.mov_ri(Reg::Rax, 7);
+        a.push(Reg::Rax); // dirties a stack page the image never mapped
+        a.mov_ri(Reg::Rbx, 0x4000_0000);
+        a.store(Reg::Rbx, 0, Reg::Rax); // and a far page
+        a.emit_output(Reg::Rax);
+        a.halt();
+        let img = a.finish().unwrap();
+        let fresh = Machine::new(&img);
+        let mut m = Machine::new(&img);
+        let first = m.run(100).unwrap();
+        assert_eq!(m.mem().page_count(), fresh.mem().page_count() + 2);
+        m.reset(&img);
+        assert_eq!(saved(&m), saved(&fresh));
+        assert_eq!(m.mem().page_count(), fresh.mem().page_count());
+        assert_eq!(m.run(100).unwrap(), first);
+    }
+
+    #[test]
+    fn reset_clears_the_decode_memo() {
+        let mut a = Asm::new(0x1000);
+        a.mov_ri(Reg::Rax, 1);
+        a.emit_output(Reg::Rax);
+        a.halt();
+        let img = a.finish().unwrap();
+        let patch = encode(&Inst::MovRI { dst: Reg::Rax, imm: 2 });
+        assert_eq!(patch.len(), Inst::MovRI { dst: Reg::Rax, imm: 1 }.len());
+
+        let mut m = Machine::new(&img);
+        assert_eq!(m.run(100).unwrap().output, vec![1]);
+        // Patch the text between runs, as a chain writing code would: the
+        // reset machine must decode the new bytes, as a fresh one does.
+        m.reset(&img);
+        m.mem_mut().write_bytes(0x1000, &patch);
+        let mut fresh = Machine::new(&img);
+        fresh.mem_mut().write_bytes(0x1000, &patch);
+        assert_eq!(m.run(100).unwrap(), fresh.run(100).unwrap());
+        assert_eq!(fresh.output(), &[2]);
+        // The patched page is put back on the next reset.
+        m.reset(&img);
+        assert_eq!(m.run(100).unwrap().output, vec![1]);
+    }
+
+    #[test]
+    fn reset_after_restore_rewinds_to_the_image() {
+        let mut a = Asm::new(0x1000);
+        a.mov_ri(Reg::Rax, 3);
+        a.push(Reg::Rax);
+        a.emit_output(Reg::Rax);
+        a.halt();
+        let img = a.finish().unwrap();
+        let mut m = Machine::new(&img);
+        m.run(100).unwrap();
+        let buf = saved(&m);
+        let mut r = Reader::with_magic(&buf, *b"VCFRTEST").unwrap();
+        let mut back = Machine::restore(&img, &mut r).unwrap();
+        back.reset(&img);
+        assert_eq!(saved(&back), saved(&Machine::new(&img)));
     }
 
     #[test]

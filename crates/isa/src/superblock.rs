@@ -18,6 +18,7 @@
 //! path preserves bit-determinism.
 
 use crate::inst::{AluOp, Inst};
+use crate::slots::{ByteSlots, EMPTY};
 use crate::Addr;
 
 /// Shortest run worth caching as a superblock. Below this, the dispatch
@@ -101,29 +102,22 @@ pub enum SuperblockLookup {
     Block(u32),
 }
 
-/// Slot value for "formation not attempted yet".
-const UNTRIED: u32 = u32::MAX;
-/// Slot value for "formation attempted, too short / ineligible".
+/// Slot value for "formation attempted, too short / ineligible" (an
+/// [`EMPTY`] slot means "formation not attempted yet").
 const NO_BLOCK: u32 = u32::MAX - 1;
 
-#[derive(Clone, Debug)]
-struct SbRange {
-    lo: Addr,
-    hi: Addr,
-    /// Byte offset → block id ([`UNTRIED`] / [`NO_BLOCK`] sentinels).
-    slots: Vec<u32>,
-}
-
-/// A dense per-byte-slot cache of formed superblocks over a program's
-/// code ranges, following the layout of [`crate::DecodedImage`]: lookup
-/// is range scan + slot index, with no hashing on the replay path.
+/// A per-byte-slot cache of formed superblocks over a program's code
+/// ranges, following the layout of [`crate::DecodedImage`]: lookup is
+/// range scan + slot index, with no hashing on the replay path, and the
+/// slots are allocated in chunks as blocks are recorded, so a sparse
+/// scattered range costs memory only where code has run.
 ///
 /// Entry points are cached *per address*: jumping into the middle of an
 /// existing block simply forms a second (overlapping) block starting
 /// there.
 #[derive(Clone, Debug, Default)]
 pub struct SuperblockCache {
-    ranges: Vec<SbRange>,
+    ranges: Vec<ByteSlots>,
     blocks: Vec<Superblock>,
 }
 
@@ -136,17 +130,16 @@ impl SuperblockCache {
     /// Adds the code range `[lo, hi)`. Addresses outside every range are
     /// never cached (lookups return [`SuperblockLookup::NoBlock`]).
     pub fn add_range(&mut self, lo: Addr, hi: Addr) {
-        let len = hi.wrapping_sub(lo) as usize;
-        self.ranges.push(SbRange { lo, hi, slots: vec![UNTRIED; len] });
+        self.ranges.push(ByteSlots::new(lo, hi));
     }
 
     /// What the cache knows about `pc`.
     #[inline]
     pub fn lookup(&self, pc: Addr) -> SuperblockLookup {
         for r in &self.ranges {
-            if pc >= r.lo && pc < r.hi {
-                return match r.slots[pc.wrapping_sub(r.lo) as usize] {
-                    UNTRIED => SuperblockLookup::Untried,
+            if r.contains(pc) {
+                return match r.get(pc) {
+                    EMPTY => SuperblockLookup::Untried,
                     NO_BLOCK => SuperblockLookup::NoBlock,
                     id => SuperblockLookup::Block(id),
                 };
@@ -167,8 +160,8 @@ impl SuperblockCache {
             }
             None => NO_BLOCK,
         };
-        if let Some(r) = self.ranges.iter_mut().find(|r| pc >= r.lo && pc < r.hi) {
-            r.slots[pc.wrapping_sub(r.lo) as usize] = id;
+        if let Some(r) = self.ranges.iter_mut().find(|r| r.contains(pc)) {
+            r.set(pc, id);
         }
         (id != NO_BLOCK).then_some(id)
     }

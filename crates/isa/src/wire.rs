@@ -28,6 +28,12 @@ pub enum WireError {
         /// The offending tag byte.
         tag: u8,
     },
+    /// A saved memory page index was out of range, repeated, or below its
+    /// predecessor (pages are saved once each, in ascending order).
+    BadPageIndex {
+        /// The offending page index.
+        index: u32,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -43,6 +49,9 @@ impl fmt::Display for WireError {
             WireError::LengthOutOfRange { len } => write!(f, "length field {len} out of range"),
             WireError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
             WireError::BadTag { tag } => write!(f, "unknown tag byte {tag:#04x}"),
+            WireError::BadPageIndex { index } => {
+                write!(f, "page index {index:#x} out of range, repeated or out of order")
+            }
         }
     }
 }

@@ -57,11 +57,11 @@ multicore-smoke:
 fleet-smoke:
     cargo test --release -p vcfr-cli --test fleet_smoke
 
-# Security smoke: a tiny 2-point entropy frontier (coverage-guided
-# gadget fuzzing + slowdown + fault coverage), manifests byte-identical
-# across worker-thread counts (see docs/security.md).
+# Security smoke: defined once as the cargo alias in .cargo/config.toml
+# (the full entropy frontier against results/frontier/; see
+# docs/security.md).
 security-smoke:
-    cargo run --release -p vcfr-bench --bin repro -- frontier-smoke
+    cargo security-smoke
 
 # Doc CI: every relative markdown link in README.md, EXPERIMENTS.md,
 # ROADMAP.md, DESIGN.md, CHANGELOG.md and docs/*.md must resolve.
