@@ -150,7 +150,7 @@ impl RandParams {
         if self.drc.entries == 0 {
             return Err(RandParamsError::DrcEntries(self.drc.entries));
         }
-        if self.drc.ways == 0 || self.drc.entries % self.drc.ways != 0 {
+        if self.drc.ways == 0 || !self.drc.entries.is_multiple_of(self.drc.ways) {
             return Err(RandParamsError::DrcWays {
                 entries: self.drc.entries,
                 ways: self.drc.ways,

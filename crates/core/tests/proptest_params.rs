@@ -53,7 +53,7 @@ fn in_documented_ranges(p: &RandParams) -> bool {
         && p.rerand_epoch != Some(0)
         && p.drc.entries > 0
         && p.drc.ways > 0
-        && p.drc.entries % p.drc.ways == 0
+        && p.drc.entries.is_multiple_of(p.drc.ways)
         && (p.drc.entries / p.drc.ways).is_power_of_two()
 }
 

@@ -6,20 +6,21 @@
 //! against the process's peak resident set (`VmHWM`), which no other
 //! test may share.
 //!
-//! The bound is 1.5 GiB. What a trial needs is dominated by two dense
-//! copies of the region: the rewriter's scattered image (512 MiB, mostly
-//! zero pages that are never resident) and the one machine that image
-//! is loaded into (512 MiB). Every per-probe structure — decode slots,
-//! the dirty-page reset, chunked fall-through successors — grows with
-//! the pages a probe touches, not with the span; the trial peaked at
-//! about 0.52 GiB on a 2-core x86-64 Linux host. Building a machine per
-//! probe, with dense per-byte indexes, needed several GiB per probe.
+//! The bound is 64 MiB, far below the 512 MiB span. The rewriter
+//! materialises only the region's code-bearing pages (a few hundred for
+//! sjeng) and the trial's one machine loads just those; every per-probe
+//! structure — decode slots, the dirty-page reset, chunked fall-through
+//! successors — grows with the pages a probe touches, not with the
+//! span. The trial peaked at about 10 MiB on a 2-core x86-64 Linux host.
+//! With a dense region image and the machine it was loaded into, the
+//! same trial peaked at about 0.52 GiB; building a machine per probe,
+//! with dense per-byte indexes, needed several GiB per probe.
 
 use vcfr_core::{DrcConfig, RandParams, MAX_ENTROPY_BITS, MAX_SPARSITY};
 use vcfr_gadget::{fuzz_trial, seed_corpus, AttackSurface, FuzzConfig};
 
 /// Peak resident set bound for the whole process, in bytes.
-const PEAK_RSS_BOUND: u64 = 3 << 29; // 1.5 GiB
+const PEAK_RSS_BOUND: u64 = 64 << 20; // 64 MiB
 
 /// The process's peak resident set in bytes (`VmHWM`), where the
 /// platform reports it.

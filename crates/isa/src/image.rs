@@ -90,7 +90,10 @@ pub struct Reloc {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Image {
-    /// All sections; exactly one [`SectionKind::Text`] section.
+    /// All sections. A program as assembled has exactly one
+    /// [`SectionKind::Text`] section; a rewritten one adds more (the
+    /// code-bearing runs of a randomization region and fail-over copies),
+    /// and [`Image::text`] returns the first.
     pub sections: Vec<Section>,
     /// Address of the first instruction executed.
     pub entry: Addr,
@@ -138,38 +141,91 @@ impl Image {
         }
     }
 
+    /// Total size of all sections in bytes.
+    pub fn loaded_size(&self) -> usize {
+        self.sections.iter().map(|s| s.bytes.len()).sum()
+    }
+}
+
+/// An image's sections sorted by address, so the clean contents of one
+/// page are found by a binary search rather than a scan of every
+/// section. A scattered image holds one section per run of
+/// code-bearing pages — hundreds at a wide span — and
+/// [`crate::Machine::reset`] asks for every page a run dirtied.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PageSource {
+    /// The non-empty sections as `[lo, hi)` pieces ordered by `lo`; a
+    /// section that wraps at the top of the address space is two pieces.
+    pieces: Vec<Piece>,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Piece {
+    lo: u64,
+    hi: u64,
+    /// The largest `hi` of this piece and every one before it: a walk
+    /// back from a page stops at the first piece whose `reach` falls
+    /// short of the page.
+    reach: u64,
+    /// Index into the image's sections.
+    section: usize,
+    /// Offset of `lo` into the section's bytes.
+    skip: usize,
+}
+
+impl PageSource {
+    /// Indexes `image`'s sections.
+    pub(crate) fn new(image: &Image) -> PageSource {
+        const TOP: u64 = 1 << 32;
+        let mut pieces = Vec::with_capacity(image.sections.len());
+        for (section, s) in image.sections.iter().enumerate() {
+            let lo = u64::from(s.base);
+            let hi = lo + s.bytes.len() as u64;
+            let piece = |lo, hi, skip| Piece { lo, hi, reach: 0, section, skip };
+            if s.bytes.is_empty() {
+                continue;
+            } else if hi <= TOP {
+                pieces.push(piece(lo, hi, 0));
+            } else {
+                pieces.push(piece(lo, TOP, 0));
+                pieces.push(piece(0, hi - TOP, (TOP - lo) as usize));
+            }
+        }
+        pieces.sort_unstable_by_key(|p| p.lo);
+        let mut reach = 0;
+        for p in &mut pieces {
+            reach = reach.max(p.hi);
+            p.reach = reach;
+        }
+        PageSource { pieces }
+    }
+
     /// Fills `page` (zeroed, one 4 KiB page long) with what
     /// [`Image::load_into`] puts in the page at `base`, and returns
     /// whether it maps that page at all. Later sections overwrite earlier
     /// ones, and a section may wrap at the top of the address space, as
-    /// in `load_into`.
-    pub(crate) fn copy_page(&self, base: Addr, page: &mut [u8]) -> bool {
+    /// in `load_into`. `image` must be the image this index was built
+    /// from.
+    pub(crate) fn copy_page(&self, image: &Image, base: Addr, page: &mut [u8]) -> bool {
         debug_assert_eq!(page.len(), PAGE_SIZE);
-        let size = PAGE_SIZE as u64;
-        let mut mapped = false;
-        for s in &self.sections {
-            let len = s.bytes.len() as u64;
-            // The page starts inside the section...
-            let into = u64::from(base.wrapping_sub(s.base));
-            if into < len {
-                let n = (len - into).min(size) as usize;
-                page[..n].copy_from_slice(&s.bytes[into as usize..into as usize + n]);
-                mapped = true;
-            }
-            // ...or the section starts inside the page.
-            let lead = u64::from(s.base.wrapping_sub(base));
-            if lead > 0 && lead < size && len > 0 {
-                let n = (size - lead).min(len) as usize;
-                page[lead as usize..lead as usize + n].copy_from_slice(&s.bytes[..n]);
-                mapped = true;
-            }
+        let lo = u64::from(base);
+        let hi = lo + PAGE_SIZE as u64;
+        let below = self.pieces.partition_point(|p| p.lo < hi);
+        let mut hits: Vec<&Piece> = self.pieces[..below]
+            .iter()
+            .rev()
+            .take_while(|p| p.reach > lo)
+            .filter(|p| p.hi > lo)
+            .collect();
+        hits.sort_unstable_by_key(|p| p.section);
+        for p in &hits {
+            let from = p.lo.max(lo);
+            let n = (p.hi.min(hi) - from) as usize;
+            let src = p.skip + (from - p.lo) as usize;
+            let dst = (from - lo) as usize;
+            page[dst..dst + n].copy_from_slice(&image.sections[p.section].bytes[src..src + n]);
         }
-        mapped
-    }
-
-    /// Total size of all sections in bytes.
-    pub fn loaded_size(&self) -> usize {
-        self.sections.iter().map(|s| s.bytes.len()).sum()
+        !hits.is_empty()
     }
 }
 
@@ -227,15 +283,43 @@ mod tests {
         img.sections.push(Section { kind: SectionKind::Data, base: 0x8004, bytes: vec![5; 2] });
         let mut mem = Mem::new();
         img.load_into(&mut mem);
+        let source = PageSource::new(&img);
         let mut mapped = 0;
         for base in [0u32, 0x1000, 0x2000, 0x3000, 0x8000, 0xffff_f000] {
             let mut page = vec![0u8; PAGE_SIZE];
             let mut want = vec![0u8; PAGE_SIZE];
             mem.read_bytes(base, &mut want);
-            let hit = img.copy_page(base, &mut page);
+            let hit = source.copy_page(&img, base, &mut page);
             assert_eq!(page, want, "page {base:#x}");
             mapped += usize::from(hit);
             assert_eq!(hit, base != 0x3000, "page {base:#x}");
+        }
+        assert_eq!(mapped, mem.page_count());
+    }
+
+    #[test]
+    fn copy_page_finds_overlapping_sections_in_image_order() {
+        // Page-sized runs out of address order, a long section laid over
+        // some of them and a short one laid over that, as a scattered
+        // image with fail-over copies inside its region has.
+        let mut img = tiny_image();
+        for (i, page) in [9u32, 3, 4, 12, 6].into_iter().enumerate() {
+            let bytes = vec![10 + i as u8; PAGE_SIZE];
+            img.sections.push(Section { kind: SectionKind::Text, base: page << 12, bytes });
+        }
+        let long = vec![1; 0x3000];
+        img.sections.push(Section { kind: SectionKind::Text, base: 0x3800, bytes: long });
+        img.sections.push(Section { kind: SectionKind::Data, base: 0x4ff0, bytes: vec![2; 0x20] });
+        let mut mem = Mem::new();
+        img.load_into(&mut mem);
+        let source = PageSource::new(&img);
+        let mut mapped = 0;
+        for base in (0..16u32).map(|p| p << 12) {
+            let mut page = vec![0u8; PAGE_SIZE];
+            let mut want = vec![0u8; PAGE_SIZE];
+            mem.read_bytes(base, &mut want);
+            mapped += usize::from(source.copy_page(&img, base, &mut page));
+            assert_eq!(page, want, "page {base:#x}");
         }
         assert_eq!(mapped, mem.page_count());
     }

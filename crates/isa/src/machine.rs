@@ -13,7 +13,7 @@
 
 use crate::decoded::DecodedImage;
 use crate::error::{DecodeError, ExecError};
-use crate::image::Image;
+use crate::image::{Image, PageSource, SectionKind};
 use crate::inst::{AluOp, Cond, Inst};
 use crate::mem::Mem;
 use crate::superblock::{superblock_eligible, SbInst, Superblock, SUPERBLOCK_MIN_INSTS};
@@ -170,17 +170,37 @@ pub struct Machine {
     stopped: Option<StopReason>,
     steps: u64,
     decoded: DecodedImage,
+    /// Where [`Machine::reset`] finds the clean contents of a page.
+    clean: PageSource,
 }
 
 impl Machine {
     /// Creates a machine with `image` loaded, the stack pointer set to the
     /// image's stack top and the program counter at its entry point.
+    /// Control may transfer into the image's text sections.
     pub fn new(image: &Image) -> Machine {
+        let text = image.sections.iter().filter(|s| s.kind == SectionKind::Text);
+        Machine::with_code_ranges(image, text.map(|s| (s.base, s.end())))
+    }
+
+    /// [`Machine::new`] with the code ranges given as `[lo, hi)` pairs
+    /// instead of taken from the text sections. A scattered ILR image
+    /// declares its whole randomization region as one range, so the
+    /// addresses between its code-bearing sections behave as the zero
+    /// bytes of a dense region would. Lookups try the ranges in order.
+    pub fn with_code_ranges(
+        image: &Image,
+        ranges: impl IntoIterator<Item = (Addr, Addr)>,
+    ) -> Machine {
         let mut mem = Mem::new();
         image.load_into(&mut mem);
         mem.mark_clean();
         let mut regs = [0u64; 16];
         regs[Reg::Rsp.index()] = image.stack_top as u64;
+        let mut decoded = DecodedImage::default();
+        for (lo, hi) in ranges {
+            decoded.add_range(lo, hi);
+        }
         Machine {
             regs,
             flags: Flags::default(),
@@ -189,7 +209,8 @@ impl Machine {
             output: Vec::new(),
             stopped: None,
             steps: 0,
-            decoded: DecodedImage::new(image),
+            decoded,
+            clean: PageSource::new(image),
         }
     }
 
@@ -211,16 +232,18 @@ impl Machine {
     /// step count and stop reason start over, every page written since
     /// (including pages only a write mapped) is put back from `image`'s
     /// sections, and the decoded-instruction memo is cleared. The
-    /// fall-through map and any added code ranges are kept.
+    /// fall-through map and the code ranges are kept.
     ///
     /// `image` must be the image the machine was created from. The cost
-    /// is proportional to the pages written, not to the image, so one
-    /// machine can serve many short runs: the gadget fuzzer resets one
-    /// machine per probe instead of building one. Clearing the memo makes
-    /// a run that writes into a code range and then executes the bytes it
-    /// wrote behave exactly as it would on a fresh machine.
+    /// is proportional to the pages written, not to the image or to how
+    /// many sections it has, so one machine can serve many short runs:
+    /// the gadget fuzzer resets one machine per probe instead of building
+    /// one. Clearing the memo makes a run that writes into a code range
+    /// and then executes the bytes it wrote behave exactly as it would on
+    /// a fresh machine.
     pub fn reset(&mut self, image: &Image) {
-        self.mem.revert_dirty(|base, page| image.copy_page(base, page));
+        let clean = &self.clean;
+        self.mem.revert_dirty(|base, page| clean.copy_page(image, base, page));
         self.regs = [0; 16];
         self.regs[Reg::Rsp.index()] = image.stack_top as u64;
         self.flags = Flags::default();
@@ -229,13 +252,6 @@ impl Machine {
         self.stopped = None;
         self.steps = 0;
         self.decoded.clear_memo();
-    }
-
-    /// Additionally permits control transfers into `[lo, hi)`. Used when a
-    /// program legitimately spans several code regions (e.g. a scattered
-    /// ILR layout plus an un-randomized fail-over region).
-    pub fn allow_code_range(&mut self, lo: Addr, hi: Addr) {
-        self.decoded.add_range(lo, hi);
     }
 
     /// Current program counter.
@@ -356,6 +372,7 @@ impl Machine {
             stopped,
             steps,
             decoded: DecodedImage::new(image),
+            clean: PageSource::new(image),
         })
     }
 

@@ -157,9 +157,13 @@ impl RandomizedProgram {
 mod tests {
     use super::*;
     use crate::randomize::{randomize, RandomizeConfig};
-    use vcfr_isa::{AluOp, Asm, Cond, Machine, Reg};
+    use vcfr_isa::{AluOp, Asm, Cond, ExecError, Machine, Reg, Section, SectionKind, StopReason};
 
     fn program() -> RandomizedProgram {
+        randomize(&looping_image(), &RandomizeConfig::with_seed(77)).unwrap()
+    }
+
+    fn looping_image() -> Image {
         let mut a = Asm::new(0x1000);
         a.mov_ri(Reg::Rcx, 20);
         let top = a.here();
@@ -172,8 +176,7 @@ mod tests {
         a.func("leaf");
         a.alu_ri(AluOp::Add, Reg::Rax, 2);
         a.ret();
-        let img = a.finish().unwrap();
-        randomize(&img, &RandomizeConfig::with_seed(77)).unwrap()
+        a.finish().unwrap()
     }
 
     #[test]
@@ -221,5 +224,75 @@ mod tests {
         let mut flipped = bytes.clone();
         flipped[3] ^= 0xff;
         assert!(RandomizedProgram::from_bytes(&flipped).is_err());
+    }
+
+    /// `rp` with its region re-densified into one zero-filled section
+    /// ahead of the others: the layout of artefacts written before the
+    /// region was materialised sparsely.
+    fn densified(rp: &RandomizedProgram) -> RandomizedProgram {
+        let (lo, hi) = rp.region;
+        let mut dense = vec![0u8; (hi - lo) as usize];
+        let mut sections = Vec::new();
+        for s in &rp.scattered.sections {
+            if s.kind == SectionKind::Text && rp.in_region(s) {
+                let off = (s.base - lo) as usize;
+                dense[off..off + s.bytes.len()].copy_from_slice(&s.bytes);
+            } else {
+                sections.push(s.clone());
+            }
+        }
+        sections.insert(0, Section { kind: SectionKind::Text, base: lo, bytes: dense });
+        let mut out = rp.clone();
+        out.scattered.sections = sections;
+        out
+    }
+
+    /// What `AttackSurface::launch_against` does with `words` (the
+    /// gadget crate depends on this one, so it is spelled out here):
+    /// the words go below the stack top, the stack pointer past the
+    /// first, and control to it.
+    fn chain(rp: &RandomizedProgram, words: &[u64]) -> (Result<StopReason, ExecError>, u64) {
+        let mut m = rp.scattered_machine();
+        let base = rp.scattered.stack_top.wrapping_sub((words.len() as Addr + 4) * 8);
+        for (i, w) in words.iter().enumerate() {
+            m.mem_mut().write_u64(base + (i as Addr) * 8, *w);
+        }
+        m.set_reg(Reg::Rsp, u64::from(base + 8));
+        m.set_pc(words[0] as Addr);
+        let mut steps = 0;
+        let result = m.run_with(256, |_| steps += 1).map(|o| o.stop);
+        (result, steps)
+    }
+
+    #[test]
+    fn programs_with_a_dense_region_load_and_behave_as_sparse_ones() {
+        let cfg = RandomizeConfig { min_span_bits: 20, ..RandomizeConfig::with_seed(77) };
+        let sparse = randomize(&looping_image(), &cfg).unwrap();
+        let region_sections =
+            sparse.scattered.sections.iter().filter(|s| sparse.in_region(s)).count();
+        assert!(region_sections > 1, "a 1 MiB region over a few instructions is sparse");
+
+        let dense = RandomizedProgram::from_bytes(&densified(&sparse).to_bytes()).unwrap();
+        assert_eq!(dense.scattered, densified(&sparse).scattered);
+        let back = RandomizedProgram::from_bytes(&sparse.to_bytes()).unwrap();
+        assert_eq!(back.scattered, sparse.scattered);
+
+        let want = Machine::new(&sparse.original).run(10_000).unwrap().output;
+        for rp in [&dense, &back] {
+            assert_eq!(rp.scattered_machine().run(10_000).unwrap().output, want);
+        }
+        // Chains aimed at code, at every page of the region whether or not
+        // the sparse image holds it, and at both ends of the region.
+        let (lo, hi) = sparse.region;
+        let mut targets: Vec<Addr> = sparse.layout.iter().map(|(_, r)| r.raw()).collect();
+        targets.extend((lo..hi).step_by(4096));
+        targets.extend([hi - 1, 0x1000]);
+        for t in targets {
+            for words in [vec![u64::from(t)], vec![u64::from(t), u64::from(lo + 7), 3]] {
+                let run = chain(&sparse, &words);
+                assert_eq!(chain(&dense, &words), run, "chain {words:x?}");
+                assert_eq!(chain(&back, &words), run, "chain {words:x?}");
+            }
+        }
     }
 }

@@ -21,6 +21,9 @@ use vcfr_isa::{
     encode, Addr, Image, Inst, Machine, Section, SectionKind, Symbol,
 };
 
+/// log2 of the page size the scattered region is materialised in.
+const PAGE_SHIFT: u32 = 12;
+
 /// Configuration for [`randomize`].
 #[derive(Clone, Debug)]
 pub struct RandomizeConfig {
@@ -203,11 +206,34 @@ impl RandomizedProgram {
         self.layout.to_rand(OrigAddr(orig)).map(|r| r.raw()).unwrap_or(orig)
     }
 
+    /// Whether `section` lies inside the randomization region. The
+    /// scattered image's text sections inside it hold the region's
+    /// code-bearing pages — one section per run of them, or one dense
+    /// section in artefacts that materialised the whole region; those
+    /// outside it are fail-over copies.
+    pub fn in_region(&self, section: &Section) -> bool {
+        let (lo, hi) = self.region;
+        section.base >= lo && u64::from(section.base) + section.bytes.len() as u64 <= u64::from(hi)
+    }
+
     /// Builds a [`Machine`] that natively executes the scattered binary,
     /// with the ILR fall-through map installed — the software-VM
     /// execution model the paper's Figure 1 describes.
+    ///
+    /// Its code ranges are the whole region followed by the text
+    /// sections outside it, so a jump anywhere into the region is a
+    /// legal transfer whether or not a section holds the page.
     pub fn scattered_machine(&self) -> Machine {
-        let mut m = Machine::new(&self.scattered);
+        let failover = self
+            .scattered
+            .sections
+            .iter()
+            .filter(|s| s.kind == SectionKind::Text && !self.in_region(s))
+            .map(|s| (s.base, s.end()));
+        let mut m = Machine::with_code_ranges(
+            &self.scattered,
+            std::iter::once(self.region).chain(failover),
+        );
         m.set_fallthrough_map(self.succ.clone());
         m
     }
@@ -225,6 +251,35 @@ fn unrandomized_ranges(image: &Image, cfg: &RandomizeConfig) -> Vec<(Addr, Addr)
 
 fn in_ranges(ranges: &[(Addr, Addr)], addr: Addr) -> bool {
     ranges.iter().any(|&(lo, hi)| addr >= lo && addr < hi)
+}
+
+/// Zero-filled text sections covering every page that an `(address,
+/// length)` extent touches: one section per maximal run of such pages,
+/// in address order, clipped to `region` and allocated at its final
+/// size.
+fn code_page_runs(
+    extents: impl Iterator<Item = (Addr, u32)>,
+    region: (Addr, Addr),
+) -> Vec<Section> {
+    let mut pages: Vec<u64> = Vec::new();
+    for (pc, len) in extents {
+        let first = u64::from(pc) >> PAGE_SHIFT;
+        let last = (u64::from(pc) + u64::from(len) - 1) >> PAGE_SHIFT;
+        pages.extend(first..=last);
+    }
+    pages.sort_unstable();
+    pages.dedup();
+    let mut runs = Vec::new();
+    let mut rest = pages.as_slice();
+    while let Some(&first) = rest.first() {
+        let n = rest.iter().zip(first..).take_while(|(p, want)| **p == *want).count();
+        rest = &rest[n..];
+        let base = (first << PAGE_SHIFT).max(u64::from(region.0));
+        let end = ((first + n as u64) << PAGE_SHIFT).min(u64::from(region.1));
+        let bytes = vec![0; (end - base) as usize];
+        runs.push(Section { kind: SectionKind::Text, base: base as Addr, bytes });
+    }
+    runs
 }
 
 /// Rewrites one instruction's address-bearing operands for its new home.
@@ -415,16 +470,30 @@ pub fn randomize(
     };
 
     // ---- scattered text region ----------------------------------------
+    // Only the pages instructions land on are materialised, one section
+    // per maximal run of them. The rest of the region is left out of the
+    // image: it reads zero, as a dense region would, and stays code to
+    // the machine `scattered_machine` builds.
     let (region_base, region_len) = if cfg.page_confined {
         (text.base, text.bytes.len() as u32)
     } else {
         (cfg.region_base, span)
     };
-    let mut region_bytes = vec![0u8; region_len as usize];
+    let region = (region_base, region_base + region_len);
+    let extents = disasm.iter().filter_map(|(orig, inst)| {
+        let rand = layout.to_rand(OrigAddr(orig))?.raw();
+        Some((rand, if expand_call(orig, inst) { 10 } else { inst.len() as u32 }))
+    });
+    let mut region_sections = code_page_runs(extents, region);
+    let mut put = |pc: Addr, bytes: &[u8]| {
+        let i = region_sections.partition_point(|s| s.base <= pc) - 1;
+        let s = &mut region_sections[i];
+        let off = (pc - s.base) as usize;
+        s.bytes[off..off + bytes.len()].copy_from_slice(bytes);
+    };
     for (orig, inst) in disasm.iter() {
         let Some(rand) = layout.to_rand(OrigAddr(orig)) else { continue };
         let new_pc = rand.raw();
-        let off = (new_pc - region_base) as usize;
         if expand_call(orig, inst) {
             // §IV-A option 1: `push randomized_return_addr; jmp target`.
             let ret = orig.wrapping_add(inst.len() as Addr);
@@ -432,18 +501,15 @@ pub fn randomize(
             let push = encode(&Inst::PushI { imm: retarget(ret) as i32 });
             let jmp_pc = new_pc.wrapping_add(push.len() as Addr);
             let rel = retarget(target).wrapping_sub(jmp_pc.wrapping_add(5)) as i32;
-            let jmp = encode(&Inst::Jmp { rel });
-            region_bytes[off..off + push.len()].copy_from_slice(&push);
-            region_bytes[off + push.len()..off + push.len() + jmp.len()]
-                .copy_from_slice(&jmp);
+            put(new_pc, &push);
+            put(jmp_pc, &encode(&Inst::Jmp { rel }));
             stats.software_expanded_calls += 1;
             stats.expansion_bytes += 5;
             stats.rewritten_branches += 1;
             continue;
         }
         let rewritten = rewrite_inst(inst, orig, new_pc, &retarget, &mut stats);
-        let bytes = encode(&rewritten);
-        region_bytes[off..off + bytes.len()].copy_from_slice(&bytes);
+        put(new_pc, &encode(&rewritten));
     }
 
     // ---- fail-over copies at original addresses ------------------------
@@ -535,8 +601,7 @@ pub fn randomize(
         .iter()
         .map(|s| Symbol { addr: retarget(s.addr), ..s.clone() })
         .collect();
-    let mut sections =
-        vec![Section { kind: SectionKind::Text, base: region_base, bytes: region_bytes }];
+    let mut sections = region_sections;
     sections.extend(failover_sections);
     if let Some(d) = data_section {
         sections.push(d);
@@ -555,7 +620,7 @@ pub fn randomize(
         layout,
         table,
         succ,
-        region: (region_base, region_base + region_len),
+        region,
         stats,
         return_safety,
     })
