@@ -427,6 +427,30 @@ impl Inst {
         )
     }
 
+    /// Returns `true` when executing the instruction reads or writes data
+    /// memory: loads, stores, pushes and pops, calls (which push the
+    /// return address), `ret` (which pops it) and the memory-indirect
+    /// transfers (which load their target).
+    pub fn accesses_memory(&self) -> bool {
+        matches!(
+            self,
+            Inst::Load { .. }
+                | Inst::Store { .. }
+                | Inst::LoadIdx { .. }
+                | Inst::StoreIdx { .. }
+                | Inst::LoadB { .. }
+                | Inst::StoreB { .. }
+                | Inst::Push { .. }
+                | Inst::Pop { .. }
+                | Inst::PushI { .. }
+                | Inst::Call { .. }
+                | Inst::CallR { .. }
+                | Inst::CallM { .. }
+                | Inst::JmpM { .. }
+                | Inst::Ret
+        )
+    }
+
     /// Returns `true` for control transfers whose target is encoded in the
     /// instruction itself (`jmp`, `jcc`, `call`).
     pub fn is_direct_transfer(&self) -> bool {

@@ -326,6 +326,11 @@ impl Machine {
         self.mem.save(w);
     }
 
+    /// Length in bytes of what [`Machine::save`] writes.
+    pub fn saved_len(&self) -> usize {
+        16 * 8 + 1 + 4 + 8 + 8 + self.output.len() * 8 + 1 + self.mem.saved_len()
+    }
+
     /// Rebuilds a machine from [`Machine::save`] output. `image` must be
     /// the image the saved machine was created from (it seeds the decoded
     /// instruction memo; the architectural state comes from the reader).
@@ -437,8 +442,10 @@ impl Machine {
         r
     }
 
-    fn alu(&mut self, op: AluOp, a: u64, b: u64, pc: Addr) -> Result<u64, ExecError> {
-        Ok(match op {
+    /// The ALU operations that cannot fault (everything but `Div`/`Rem`,
+    /// which [`Machine::divide`] handles).
+    fn alu(&mut self, op: AluOp, a: u64, b: u64) -> u64 {
+        match op {
             AluOp::Add => self.flags_add(a, b),
             AluOp::Sub => self.flags_sub(a, b),
             AluOp::And => self.flags_logic(a & b),
@@ -448,19 +455,16 @@ impl Machine {
             AluOp::Shr => self.flags_logic(a.wrapping_shr((b & 63) as u32)),
             AluOp::Sar => self.flags_logic(((a as i64).wrapping_shr((b & 63) as u32)) as u64),
             AluOp::Mul => self.flags_logic(a.wrapping_mul(b)),
-            AluOp::Div => {
-                if b == 0 {
-                    return Err(ExecError::DivideByZero { pc });
-                }
-                self.flags_logic(a / b)
-            }
-            AluOp::Rem => {
-                if b == 0 {
-                    return Err(ExecError::DivideByZero { pc });
-                }
-                self.flags_logic(a % b)
-            }
-        })
+            AluOp::Div | AluOp::Rem => unreachable!("faulting ALU ops go through divide"),
+        }
+    }
+
+    /// `Div`/`Rem`, which raise a divide-by-zero fault at `pc`.
+    fn divide(&mut self, op: AluOp, a: u64, b: u64, pc: Addr) -> Result<u64, ExecError> {
+        if b == 0 {
+            return Err(ExecError::DivideByZero { pc });
+        }
+        Ok(self.flags_logic(if op == AluOp::Div { a / b } else { a % b }))
     }
 
     fn push64(&mut self, val: u64) -> MemAccess {
@@ -508,14 +512,7 @@ impl Machine {
         let mut control = None;
         let mut mem: [Option<MemAccess>; 2] = [None, None];
 
-        macro_rules! addr_of {
-            ($base:expr, $disp:expr) => {
-                (self.regs[$base.index()] as Addr).wrapping_add($disp as Addr)
-            };
-        }
-
         match inst {
-            Inst::Nop => {}
             Inst::Halt => self.stopped = Some(StopReason::Halt),
             Inst::Sys { num } => match num {
                 SYS_EXIT => self.stopped = Some(StopReason::Exit),
@@ -523,77 +520,14 @@ impl Machine {
                 SYS_SHELL => self.stopped = Some(StopReason::Shell),
                 _ => {}
             },
-            Inst::MovRR { dst, src } => self.regs[dst.index()] = self.regs[src.index()],
-            Inst::MovRI { dst, imm } => self.regs[dst.index()] = imm as u64,
-            Inst::Lea { dst, base, disp } => {
-                self.regs[dst.index()] = addr_of!(base, disp) as u64;
-            }
-            Inst::Load { dst, base, disp } => {
-                let a = addr_of!(base, disp);
-                self.regs[dst.index()] = self.mem.read_u64(a);
-                mem[0] = Some(MemAccess { addr: a, size: 8, write: false });
-            }
-            Inst::Store { base, disp, src } => {
-                let a = addr_of!(base, disp);
-                self.mem.write_u64(a, self.regs[src.index()]);
-                mem[0] = Some(MemAccess { addr: a, size: 8, write: true });
-            }
-            Inst::LoadIdx { dst, base, index, scale, disp } => {
-                let a = addr_of!(base, disp)
-                    .wrapping_add((self.regs[index.index()] << scale) as Addr);
-                self.regs[dst.index()] = self.mem.read_u64(a);
-                mem[0] = Some(MemAccess { addr: a, size: 8, write: false });
-            }
-            Inst::StoreIdx { base, index, scale, disp, src } => {
-                let a = addr_of!(base, disp)
-                    .wrapping_add((self.regs[index.index()] << scale) as Addr);
-                self.mem.write_u64(a, self.regs[src.index()]);
-                mem[0] = Some(MemAccess { addr: a, size: 8, write: true });
-            }
-            Inst::LoadB { dst, base, disp } => {
-                let a = addr_of!(base, disp);
-                self.regs[dst.index()] = self.mem.read_u8(a) as u64;
-                mem[0] = Some(MemAccess { addr: a, size: 1, write: false });
-            }
-            Inst::StoreB { base, disp, src } => {
-                let a = addr_of!(base, disp);
-                self.mem.write_u8(a, self.regs[src.index()] as u8);
-                mem[0] = Some(MemAccess { addr: a, size: 1, write: true });
-            }
-            Inst::Push { src } => {
-                let v = self.regs[src.index()];
-                mem[0] = Some(self.push64(v));
-            }
-            Inst::Pop { dst } => {
-                let (v, acc) = self.pop64();
-                self.regs[dst.index()] = v;
-                mem[0] = Some(acc);
-            }
-            Inst::PushI { imm } => {
-                mem[0] = Some(self.push64(imm as i64 as u64));
-            }
-            Inst::AluRR { op, dst, src } => {
-                let r = self.alu(op, self.regs[dst.index()], self.regs[src.index()], pc)?;
+            Inst::AluRR { op: op @ (AluOp::Div | AluOp::Rem), dst, src } => {
+                let r = self.divide(op, self.regs[dst.index()], self.regs[src.index()], pc)?;
                 self.regs[dst.index()] = r;
             }
-            Inst::AluRI { op, dst, imm } => {
-                let r = self.alu(op, self.regs[dst.index()], imm as i64 as u64, pc)?;
+            Inst::AluRI { op: op @ (AluOp::Div | AluOp::Rem), dst, imm } => {
+                let r = self.divide(op, self.regs[dst.index()], imm as i64 as u64, pc)?;
                 self.regs[dst.index()] = r;
             }
-            Inst::Cmp { lhs, rhs } => {
-                self.flags_sub(self.regs[lhs.index()], self.regs[rhs.index()]);
-            }
-            Inst::CmpI { lhs, imm } => {
-                self.flags_sub(self.regs[lhs.index()], imm as i64 as u64);
-            }
-            Inst::Test { lhs, rhs } => {
-                self.flags_logic(self.regs[lhs.index()] & self.regs[rhs.index()]);
-            }
-            Inst::Neg { dst } => {
-                let r = self.flags_sub(0, self.regs[dst.index()]);
-                self.regs[dst.index()] = r;
-            }
-            Inst::Not { dst } => self.regs[dst.index()] = !self.regs[dst.index()],
             Inst::Jmp { rel } => {
                 let t = self.check_target(pc, anchor.wrapping_add(rel as Addr))?;
                 next = t;
@@ -620,7 +554,7 @@ impl Machine {
                 control = Some(ControlFlow::IndirectCall { target: t, ret_addr: fall });
             }
             Inst::CallM { base, disp } => {
-                let a = addr_of!(base, disp);
+                let a = (self.regs[base.index()] as Addr).wrapping_add(disp as Addr);
                 let t = self.mem.read_u64(a) as Addr;
                 mem[0] = Some(MemAccess { addr: a, size: 8, write: false });
                 let t = self.check_target(pc, t)?;
@@ -634,7 +568,7 @@ impl Machine {
                 control = Some(ControlFlow::IndirectJump { target: t });
             }
             Inst::JmpM { base, disp } => {
-                let a = addr_of!(base, disp);
+                let a = (self.regs[base.index()] as Addr).wrapping_add(disp as Addr);
                 let t = self.mem.read_u64(a) as Addr;
                 mem[0] = Some(MemAccess { addr: a, size: 8, write: false });
                 let t = self.check_target(pc, t)?;
@@ -648,11 +582,110 @@ impl Machine {
                 next = t;
                 control = Some(ControlFlow::Return { target: t });
             }
+            _ => mem[0] = self.exec_straight(inst),
         }
 
         self.pc = next;
         self.steps += 1;
         Ok(Some(StepInfo { pc, inst, len, next_pc: next, control, mem }))
+    }
+
+    /// Executes one [`superblock_eligible`] instruction — its effect on
+    /// registers, flags and memory — and returns the data access it
+    /// made, if any. [`Machine::step`] and [`Machine::replay_superblock`]
+    /// both run eligible instructions through here, so the two paths
+    /// share one copy of their semantics.
+    #[inline(always)]
+    fn exec_straight(&mut self, inst: Inst) -> Option<MemAccess> {
+        macro_rules! addr_of {
+            ($base:expr, $disp:expr) => {
+                (self.regs[$base.index()] as Addr).wrapping_add($disp as Addr)
+            };
+        }
+        macro_rules! indexed {
+            ($base:expr, $index:expr, $scale:expr, $disp:expr) => {
+                addr_of!($base, $disp).wrapping_add((self.regs[$index.index()] << $scale) as Addr)
+            };
+        }
+
+        match inst {
+            Inst::Nop => {}
+            Inst::MovRR { dst, src } => self.regs[dst.index()] = self.regs[src.index()],
+            Inst::MovRI { dst, imm } => self.regs[dst.index()] = imm as u64,
+            Inst::Lea { dst, base, disp } => {
+                self.regs[dst.index()] = addr_of!(base, disp) as u64;
+            }
+            Inst::Load { dst, base, disp } => {
+                let a = addr_of!(base, disp);
+                self.regs[dst.index()] = self.mem.read_u64(a);
+                return Some(MemAccess { addr: a, size: 8, write: false });
+            }
+            Inst::Store { base, disp, src } => {
+                let a = addr_of!(base, disp);
+                self.mem.write_u64(a, self.regs[src.index()]);
+                return Some(MemAccess { addr: a, size: 8, write: true });
+            }
+            Inst::LoadIdx { dst, base, index, scale, disp } => {
+                let a = indexed!(base, index, scale, disp);
+                self.regs[dst.index()] = self.mem.read_u64(a);
+                return Some(MemAccess { addr: a, size: 8, write: false });
+            }
+            Inst::StoreIdx { base, index, scale, disp, src } => {
+                let a = indexed!(base, index, scale, disp);
+                self.mem.write_u64(a, self.regs[src.index()]);
+                return Some(MemAccess { addr: a, size: 8, write: true });
+            }
+            Inst::LoadB { dst, base, disp } => {
+                let a = addr_of!(base, disp);
+                self.regs[dst.index()] = self.mem.read_u8(a) as u64;
+                return Some(MemAccess { addr: a, size: 1, write: false });
+            }
+            Inst::StoreB { base, disp, src } => {
+                let a = addr_of!(base, disp);
+                self.mem.write_u8(a, self.regs[src.index()] as u8);
+                return Some(MemAccess { addr: a, size: 1, write: true });
+            }
+            Inst::Push { src } => return Some(self.push64(self.regs[src.index()])),
+            Inst::Pop { dst } => {
+                let (v, acc) = self.pop64();
+                self.regs[dst.index()] = v;
+                return Some(acc);
+            }
+            Inst::PushI { imm } => return Some(self.push64(imm as i64 as u64)),
+            Inst::AluRR { op, dst, src } => {
+                let r = self.alu(op, self.regs[dst.index()], self.regs[src.index()]);
+                self.regs[dst.index()] = r;
+            }
+            Inst::AluRI { op, dst, imm } => {
+                let r = self.alu(op, self.regs[dst.index()], imm as i64 as u64);
+                self.regs[dst.index()] = r;
+            }
+            Inst::Cmp { lhs, rhs } => {
+                self.flags_sub(self.regs[lhs.index()], self.regs[rhs.index()]);
+            }
+            Inst::CmpI { lhs, imm } => {
+                self.flags_sub(self.regs[lhs.index()], imm as i64 as u64);
+            }
+            Inst::Test { lhs, rhs } => {
+                self.flags_logic(self.regs[lhs.index()] & self.regs[rhs.index()]);
+            }
+            Inst::Neg { dst } => {
+                let r = self.flags_sub(0, self.regs[dst.index()]);
+                self.regs[dst.index()] = r;
+            }
+            Inst::Not { dst } => self.regs[dst.index()] = !self.regs[dst.index()],
+            Inst::Halt
+            | Inst::Sys { .. }
+            | Inst::Jmp { .. }
+            | Inst::Jcc { .. }
+            | Inst::Call { .. }
+            | Inst::CallR { .. }
+            | Inst::CallM { .. }
+            | Inst::JmpR { .. }
+            | Inst::JmpM { .. }
+            | Inst::Ret => unreachable!("{inst:?} is not superblock-eligible"),
+        }
+        None
     }
 
     /// Decodes the maximal superblock starting at `pc`: a straight-line
@@ -690,69 +723,30 @@ impl Machine {
         Some(Superblock { start: pc, end: cur, insts })
     }
 
-    /// Replays the first `n` instructions of `sb` through a reduced
-    /// dispatch loop. The caller must be at the block's entry
-    /// (`self.pc == sb.start`) with `1 <= n <= sb.len()`; the effect is
-    /// bit-identical to `n` calls of [`Machine::step`] — eligible
-    /// instructions touch only registers and flags, advance the program
-    /// counter by their encoded length, and cannot fault or stop.
-    pub fn replay_superblock(&mut self, sb: &Superblock, n: usize) {
+    /// Replays the first `n` instructions of `sb`, appending the data
+    /// accesses they make to `accesses` in execution order (at most one
+    /// per instruction: exactly those for which
+    /// [`Inst::accesses_memory`] holds). The caller must be at the
+    /// block's entry (`self.pc == sb.start`) with `1 <= n <= sb.len()`.
+    /// The effect is bit-identical to `n` calls of [`Machine::step`]:
+    /// both execute eligible instructions through the same code and the
+    /// same [`Mem`] calls, and eligible instructions advance the program
+    /// counter by their encoded length and cannot fault or stop.
+    ///
+    /// Like the decoded-instruction memo, the block's decoded copy
+    /// relies on W^X: a store that rewrote code inside the block would
+    /// not be seen by the rest of the replay.
+    pub fn replay_superblock(&mut self, sb: &Superblock, n: usize, accesses: &mut Vec<MemAccess>) {
         debug_assert_eq!(self.pc, sb.start);
         debug_assert!(n >= 1 && n <= sb.insts.len());
         for s in &sb.insts[..n] {
-            match s.inst {
-                Inst::Nop => {}
-                Inst::MovRR { dst, src } => self.regs[dst.index()] = self.regs[src.index()],
-                Inst::MovRI { dst, imm } => self.regs[dst.index()] = imm as u64,
-                Inst::Lea { dst, base, disp } => {
-                    self.regs[dst.index()] =
-                        (self.regs[base.index()] as Addr).wrapping_add(disp as Addr) as u64;
-                }
-                Inst::AluRR { op, dst, src } => {
-                    let r = self.alu_nofault(op, self.regs[dst.index()], self.regs[src.index()]);
-                    self.regs[dst.index()] = r;
-                }
-                Inst::AluRI { op, dst, imm } => {
-                    let r = self.alu_nofault(op, self.regs[dst.index()], imm as i64 as u64);
-                    self.regs[dst.index()] = r;
-                }
-                Inst::Cmp { lhs, rhs } => {
-                    self.flags_sub(self.regs[lhs.index()], self.regs[rhs.index()]);
-                }
-                Inst::CmpI { lhs, imm } => {
-                    self.flags_sub(self.regs[lhs.index()], imm as i64 as u64);
-                }
-                Inst::Test { lhs, rhs } => {
-                    self.flags_logic(self.regs[lhs.index()] & self.regs[rhs.index()]);
-                }
-                Inst::Neg { dst } => {
-                    let r = self.flags_sub(0, self.regs[dst.index()]);
-                    self.regs[dst.index()] = r;
-                }
-                Inst::Not { dst } => self.regs[dst.index()] = !self.regs[dst.index()],
-                _ => unreachable!("superblocks hold only eligible instructions"),
+            if let Some(acc) = self.exec_straight(s.inst) {
+                accesses.push(acc);
             }
         }
         let last = &sb.insts[n - 1];
         self.pc = last.pc.wrapping_add(last.len as Addr);
         self.steps += n as u64;
-    }
-
-    /// [`Machine::alu`] restricted to the operations that cannot fault
-    /// (everything but `Div`/`Rem`), for the superblock replay path.
-    fn alu_nofault(&mut self, op: AluOp, a: u64, b: u64) -> u64 {
-        match op {
-            AluOp::Add => self.flags_add(a, b),
-            AluOp::Sub => self.flags_sub(a, b),
-            AluOp::And => self.flags_logic(a & b),
-            AluOp::Or => self.flags_logic(a | b),
-            AluOp::Xor => self.flags_logic(a ^ b),
-            AluOp::Shl => self.flags_logic(a.wrapping_shl((b & 63) as u32)),
-            AluOp::Shr => self.flags_logic(a.wrapping_shr((b & 63) as u32)),
-            AluOp::Sar => self.flags_logic(((a as i64).wrapping_shr((b & 63) as u32)) as u64),
-            AluOp::Mul => self.flags_logic(a.wrapping_mul(b)),
-            AluOp::Div | AluOp::Rem => unreachable!("superblocks exclude faulting ALU ops"),
-        }
     }
 
     /// Runs until the program stops or `max_steps` instructions have
@@ -1064,6 +1058,7 @@ mod tests {
         let mut w = Writer::with_magic(*b"VCFRTEST");
         m.save(&mut w);
         let buf = w.into_bytes();
+        assert_eq!(buf.len(), 8 + m.saved_len());
         let mut r = Reader::with_magic(&buf, *b"VCFRTEST").unwrap();
         let mut back = Machine::restore(&img, &mut r).unwrap();
         assert!(r.is_exhausted());
@@ -1074,6 +1069,7 @@ mod tests {
         let b = back.run(100_000).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.output, vec![150]);
+        assert_eq!(saved(&m).len(), 8 + m.saved_len(), "outputs and stop reason count too");
     }
 
     fn saved(m: &Machine) -> Vec<u8> {
@@ -1163,35 +1159,67 @@ mod tests {
     }
 
     #[test]
-    fn superblock_formation_stops_at_ineligible_instructions() {
+    fn superblock_formation_spans_memory_ops_and_stops_at_transfers_and_faults() {
         let mut a = Asm::new(0x1000);
-        a.mov_ri(Reg::Rax, 1); // eligible
-        a.alu_ri(AluOp::Add, Reg::Rax, 2); // eligible
-        a.cmp_i(Reg::Rax, 3); // eligible
-        a.not(Reg::Rbx); // eligible
-        a.push(Reg::Rax); // memory: stops the block
+        let stops: [fn(&mut Asm); 5] = [
+            |a| a.alu_rr(AluOp::Div, Reg::Rax, Reg::Rbx),
+            |a| a.alu_ri(AluOp::Rem, Reg::Rax, 3),
+            |a| a.sys(1),
+            |a| a.ret(),
+            |a| a.call_m(Reg::Rbx, 0),
+        ];
+        // Each group: four eligible instructions (two of them memory
+        // ops), then an instruction that must end the block.
+        for stop in stops {
+            a.mov_ri(Reg::Rax, 1);
+            a.push(Reg::Rax);
+            a.load(Reg::Rcx, Reg::Rsp, 0);
+            a.not(Reg::Rbx);
+            stop(&mut a);
+        }
         a.halt();
         let img = a.finish().unwrap();
         let mut m = Machine::new(&img);
+        let mut pc = 0x1000;
+        for _ in 0..5 {
+            let sb = m.form_superblock(pc, 512).unwrap();
+            assert_eq!(sb.start, pc);
+            assert_eq!(sb.insts.len(), 4);
+            assert_eq!(sb.end, sb.insts.iter().map(|s| s.len as Addr).sum::<Addr>() + pc);
+            let stop = m.fetch_decode(sb.end).unwrap();
+            assert!(!superblock_eligible(&stop), "{stop:?} ends the block");
+            assert!(m.form_superblock(sb.end, 512).is_none(), "{stop:?} starts no block");
+            pc = sb.end + stop.len() as Addr;
+        }
+        // `halt` is ineligible too, and too-short runs are rejected:
+        // the last two eligible insts of a group alone are below the
+        // minimum.
+        assert!(m.form_superblock(pc, 512).is_none());
         let sb = m.form_superblock(0x1000, 512).unwrap();
-        assert_eq!(sb.start, 0x1000);
-        assert_eq!(sb.insts.len(), 4);
-        assert_eq!(sb.end, sb.insts.iter().map(|s| s.len as Addr).sum::<Addr>() + 0x1000);
-        // Too-short runs are rejected: the last two eligible insts alone
-        // are below the minimum.
         assert!(m.form_superblock(sb.insts[2].pc, 512).is_none());
     }
 
     #[test]
     fn superblock_replay_matches_stepping() {
-        let mut a = Asm::new(0x1000);
+        let mut a = Asm::with_layout(0x1000, 0x10_0000, 0x20_0000);
+        let buf = a.data_zeroed(64);
         a.mov_ri(Reg::Rax, -5);
         a.mov_ri(Reg::Rbx, 12);
         a.alu_rr(AluOp::Add, Reg::Rax, Reg::Rbx); // sets CF/OF/ZF/SF
         a.lea(Reg::Rcx, Reg::Rbx, 0x30);
+        a.push(Reg::Rcx);
+        a.mov_ri(Reg::Rdx, buf.0 as i64);
+        a.store(Reg::Rdx, 8, Reg::Rax);
         a.alu_ri(AluOp::Shl, Reg::Rbx, 3);
+        a.load_idx(Reg::Rsi, Reg::Rdx, Reg::Rbx, 0, -88);
+        a.store_b(Reg::Rdx, 3, Reg::Rcx);
         a.cmp(Reg::Rax, Reg::Rbx);
+        a.push_i(-7);
         a.test(Reg::Rcx, Reg::Rcx);
+        a.pop(Reg::Rdi);
+        a.load_b(Reg::R8, Reg::Rdx, 3);
+        a.store_idx(Reg::Rdx, Reg::Rcx, 0, -40, Reg::Rdi);
+        a.pop(Reg::R9);
         a.neg(Reg::Rax);
         a.not(Reg::Rcx);
         a.alu_ri(AluOp::Xor, Reg::Rax, 0x7f);
@@ -1201,23 +1229,29 @@ mod tests {
         let mut stepped = Machine::new(&img);
         let mut replayed = Machine::new(&img);
         let sb = replayed.form_superblock(0x1000, 512).unwrap();
-        assert_eq!(sb.insts.len(), 10);
+        assert_eq!(sb.insts.len(), 20);
 
         // Full replay after partial replay covers the n < len case too.
-        replayed.replay_superblock(&sb, 4);
-        for _ in 0..4 {
-            stepped.step().unwrap();
+        let mut accesses = Vec::new();
+        let mut stepped_accesses = Vec::new();
+        replayed.replay_superblock(&sb, 8, &mut accesses);
+        for _ in 0..8 {
+            stepped_accesses.extend(stepped.step().unwrap().unwrap().mem_accesses());
         }
         assert_eq!(replayed.pc(), stepped.pc());
         // Re-form from the middle to continue (blocks are per entry pc).
         let rest = replayed.form_superblock(replayed.pc(), 512).unwrap();
-        replayed.replay_superblock(&rest, rest.insts.len());
-        for _ in 0..6 {
-            stepped.step().unwrap();
+        replayed.replay_superblock(&rest, rest.insts.len(), &mut accesses);
+        for _ in 0..12 {
+            stepped_accesses.extend(stepped.step().unwrap().unwrap().mem_accesses());
         }
+        assert_eq!(accesses, stepped_accesses, "same accesses, in the same order");
+        let memory_ops = sb.insts.iter().filter(|s| s.inst.accesses_memory()).count();
+        assert_eq!(accesses.len(), memory_ops, "one access per memory instruction");
         assert_eq!(replayed.pc(), stepped.pc());
         assert_eq!(replayed.steps(), stepped.steps());
-        // Full architectural state agrees: serialise both and compare.
+        // Full architectural state — memory included — agrees:
+        // serialise both and compare.
         let mut wa = Writer::with_magic(*b"VCFRTEST");
         stepped.save(&mut wa);
         let mut wb = Writer::with_magic(*b"VCFRTEST");

@@ -226,6 +226,11 @@ impl Mem {
         }
     }
 
+    /// Length in bytes of what [`Mem::save`] writes.
+    pub fn saved_len(&self) -> usize {
+        8 + self.live * (4 + 8 + PAGE_SIZE)
+    }
+
     /// Rebuilds a memory from [`Mem::save`] output, restoring the exact
     /// set of materialised pages. Every restored page counts as dirty.
     ///

@@ -1,10 +1,12 @@
 //! Superblocks: decode-once straight-line replay regions.
 //!
 //! A superblock is a maximal run of *eligible* contiguous instructions —
-//! no control flow, no memory accesses, no possible architectural fault,
-//! no ILR fall-through override — starting at some program counter. The
-//! interpreter decodes the run once ([`crate::Machine::form_superblock`])
-//! and thereafter replays it through a reduced dispatch loop
+//! no control transfer, no possible architectural fault, no stop, no
+//! output, no ILR fall-through override — starting at some program
+//! counter. Loads, stores, pushes and pops are eligible: their memory
+//! accesses cannot fault. The interpreter decodes the run once
+//! ([`crate::Machine::form_superblock`]) and thereafter replays it
+//! through a reduced dispatch loop
 //! ([`crate::Machine::replay_superblock`]) instead of taking the full
 //! fetch/decode/execute state machine one instruction at a time. The
 //! cycle simulator keeps a parallel per-block timing precompute and
@@ -67,27 +69,22 @@ impl Superblock {
     }
 }
 
-/// Whether `inst` may be part of a superblock: it must not touch memory,
-/// not transfer or stop control, not fault, and not emit output — i.e.
-/// its only architectural effects are on registers and flags. `Div`/`Rem`
-/// are excluded because they can raise a divide-by-zero fault, which
-/// must surface at the exact per-instruction point the slow path would
-/// raise it.
+/// Whether `inst` may be part of a superblock: anything that neither
+/// transfers control (including `call [m]`, `jmp [m]` and `ret`), nor
+/// stops the machine or emits output (`halt`, `sys`), nor can fault.
+/// `Div`/`Rem` are excluded because they can raise a divide-by-zero
+/// fault, which must surface at the exact per-instruction point the
+/// slow path would raise it. Memory instructions are eligible: a data
+/// access never faults, and replay reports each one so the timing model
+/// can charge it (at most one per eligible instruction, see
+/// [`Inst::accesses_memory`]).
 pub fn superblock_eligible(inst: &Inst) -> bool {
     match inst {
-        Inst::Nop
-        | Inst::MovRR { .. }
-        | Inst::MovRI { .. }
-        | Inst::Lea { .. }
-        | Inst::Cmp { .. }
-        | Inst::CmpI { .. }
-        | Inst::Test { .. }
-        | Inst::Neg { .. }
-        | Inst::Not { .. } => true,
         Inst::AluRR { op, .. } | Inst::AluRI { op, .. } => {
             !matches!(op, AluOp::Div | AluOp::Rem)
         }
-        _ => false,
+        Inst::Halt | Inst::Sys { .. } => false,
+        _ => !inst.is_control(),
     }
 }
 
@@ -184,21 +181,48 @@ mod tests {
     use crate::Reg;
 
     #[test]
-    fn eligibility_is_register_only() {
+    fn eligibility_excludes_transfers_faults_and_stops() {
         assert!(superblock_eligible(&Inst::Nop));
         assert!(superblock_eligible(&Inst::MovRI { dst: Reg::Rax, imm: 7 }));
         assert!(superblock_eligible(&Inst::AluRI { op: AluOp::Add, dst: Reg::Rax, imm: 1 }));
         assert!(superblock_eligible(&Inst::Cmp { lhs: Reg::Rax, rhs: Reg::Rbx }));
         assert!(superblock_eligible(&Inst::Not { dst: Reg::Rax }));
-        // Faultable, memory, control and stopping instructions are out.
-        assert!(!superblock_eligible(&Inst::AluRR { op: AluOp::Div, dst: Reg::Rax, src: Reg::Rbx }));
-        assert!(!superblock_eligible(&Inst::AluRI { op: AluOp::Rem, dst: Reg::Rax, imm: 3 }));
-        assert!(!superblock_eligible(&Inst::Load { dst: Reg::Rax, base: Reg::Rbx, disp: 0 }));
-        assert!(!superblock_eligible(&Inst::Push { src: Reg::Rax }));
-        assert!(!superblock_eligible(&Inst::Jmp { rel: 4 }));
-        assert!(!superblock_eligible(&Inst::Ret));
-        assert!(!superblock_eligible(&Inst::Halt));
-        assert!(!superblock_eligible(&Inst::Sys { num: 1 }));
+        // Data accesses cannot fault, so every memory instruction that
+        // is not a transfer is in.
+        let memory = [
+            Inst::Load { dst: Reg::Rax, base: Reg::Rbx, disp: 0 },
+            Inst::Store { base: Reg::Rbx, disp: 8, src: Reg::Rax },
+            Inst::LoadIdx { dst: Reg::Rax, base: Reg::Rbx, index: Reg::Rcx, scale: 3, disp: 0 },
+            Inst::StoreIdx { base: Reg::Rbx, index: Reg::Rcx, scale: 3, disp: 0, src: Reg::Rax },
+            Inst::LoadB { dst: Reg::Rax, base: Reg::Rbx, disp: 1 },
+            Inst::StoreB { base: Reg::Rbx, disp: 1, src: Reg::Rax },
+            Inst::Push { src: Reg::Rax },
+            Inst::Pop { dst: Reg::Rax },
+            Inst::PushI { imm: -1 },
+        ];
+        for inst in memory {
+            assert!(superblock_eligible(&inst), "{inst:?}");
+            assert!(inst.accesses_memory(), "{inst:?}");
+        }
+        // Faultable, control and stopping instructions are out —
+        // including the transfers that also touch memory.
+        let out = [
+            Inst::AluRR { op: AluOp::Div, dst: Reg::Rax, src: Reg::Rbx },
+            Inst::AluRI { op: AluOp::Rem, dst: Reg::Rax, imm: 3 },
+            Inst::Jmp { rel: 4 },
+            Inst::Jcc { cc: crate::Cond::Eq, rel: 4 },
+            Inst::Call { rel: 4 },
+            Inst::CallR { target: Reg::Rax },
+            Inst::CallM { base: Reg::Rax, disp: 0 },
+            Inst::JmpR { target: Reg::Rax },
+            Inst::JmpM { base: Reg::Rax, disp: 0 },
+            Inst::Ret,
+            Inst::Halt,
+            Inst::Sys { num: 1 },
+        ];
+        for inst in out {
+            assert!(!superblock_eligible(&inst), "{inst:?}");
+        }
     }
 
     #[test]

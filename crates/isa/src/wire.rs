@@ -75,6 +75,14 @@ impl Writer {
         w
     }
 
+    /// Like [`Writer::with_magic`], with room for `capacity` bytes in all
+    /// before the buffer has to grow.
+    pub fn with_magic_and_capacity(magic: [u8; 8], capacity: usize) -> Writer {
+        let mut w = Writer { buf: Vec::with_capacity(capacity.max(8)) };
+        w.buf.extend_from_slice(&magic);
+        w
+    }
+
     /// Consumes the encoder, returning the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -99,6 +107,31 @@ impl Writer {
     pub fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
         self.buf.extend_from_slice(v);
+    }
+
+    /// Appends `v` as is, with no length prefix (e.g. the magic header
+    /// of a stream nested inside this one).
+    pub fn raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
+    /// Opens a length-prefixed byte array whose contents the calls that
+    /// follow write in place, until [`Writer::end_bytes`] closes it with
+    /// the returned mark. The bytes are those [`Writer::bytes`] would
+    /// write for the same contents, without building them apart first.
+    pub fn begin_bytes(&mut self) -> usize {
+        let mark = self.buf.len();
+        self.u64(0);
+        mark
+    }
+
+    /// Closes the byte array opened at `mark`: fills in its length
+    /// prefix and returns its contents.
+    pub fn end_bytes(&mut self, mark: usize) -> &[u8] {
+        let start = mark + 8;
+        let len = (self.buf.len() - start) as u64;
+        self.buf[mark..start].copy_from_slice(&len.to_le_bytes());
+        &self.buf[start..]
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -222,6 +255,27 @@ mod tests {
         assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);
         assert_eq!(r.string().unwrap(), "héllo");
         assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn in_place_byte_arrays_match_prebuilt_ones() {
+        let mut inner = Writer::with_magic(*b"INNERMAG");
+        inner.u32(5);
+        inner.string("x");
+        let mut w = Writer::with_magic(MAGIC);
+        w.u8(1);
+        w.bytes(&inner.into_bytes());
+        w.u8(2);
+
+        let mut v = Writer::with_magic_and_capacity(MAGIC, 4);
+        v.u8(1);
+        let mark = v.begin_bytes();
+        v.raw(b"INNERMAG");
+        v.u32(5);
+        v.string("x");
+        assert_eq!(v.end_bytes(mark).len(), 8 + 4 + 8 + 1);
+        v.u8(2);
+        assert_eq!(v.into_bytes(), w.into_bytes());
     }
 
     #[test]

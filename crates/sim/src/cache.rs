@@ -130,7 +130,9 @@ impl Cache {
     }
 
     fn set_of(&self, addr: Addr) -> usize {
-        ((addr as usize) / self.cfg.line_bytes) & (self.sets - 1)
+        // A shift, not a division: `new` checked that the line size is
+        // a power of two.
+        ((addr as usize) >> self.cfg.line_bytes.trailing_zeros()) & (self.sets - 1)
     }
 
     fn probe(&mut self, addr: Addr) -> Option<usize> {

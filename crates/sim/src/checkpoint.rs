@@ -100,7 +100,36 @@ pub(crate) fn context_fingerprint(description: &str) -> u64 {
     fnv64(description.as_bytes())
 }
 
-/// Wraps a session payload in the versioned, hash-sealed envelope.
+/// Envelope bytes around the payload: magic, version, context, the
+/// payload's length prefix, and its hash.
+pub(crate) const ENVELOPE_BYTES: usize = 8 + 4 + 8 + 8 + 8;
+
+/// Builds a sealed checkpoint in one buffer: `write_payload` writes the
+/// session payload (after its magic, which this writes) straight into
+/// the envelope, and the length prefix and hash are filled in after.
+/// The bytes are exactly [`seal`]'s for the same payload, without a
+/// separate payload buffer to copy. `payload_hint` is the payload's
+/// expected length, so the buffer is allocated once; a short hint only
+/// costs the buffer a regrowth.
+pub(crate) fn seal_with(
+    context: u64,
+    payload_hint: usize,
+    write_payload: impl FnOnce(&mut Writer),
+) -> Vec<u8> {
+    let mut w = Writer::with_magic_and_capacity(CHECKPOINT_MAGIC, ENVELOPE_BYTES + payload_hint);
+    w.u32(CHECKPOINT_VERSION);
+    w.u64(context);
+    let mark = w.begin_bytes();
+    w.raw(&PAYLOAD_MAGIC);
+    write_payload(&mut w);
+    let hash = fnv64(w.end_bytes(mark));
+    w.u64(hash);
+    w.into_bytes()
+}
+
+/// Wraps a prebuilt session payload in the versioned, hash-sealed
+/// envelope: the reference [`seal_with`] is held to.
+#[cfg(test)]
 pub(crate) fn seal(context: u64, payload: &[u8]) -> Vec<u8> {
     let mut w = Writer::with_magic(CHECKPOINT_MAGIC);
     w.u32(CHECKPOINT_VERSION);
@@ -119,19 +148,19 @@ pub(crate) fn seal(context: u64, payload: &[u8]) -> Vec<u8> {
 /// [`CheckpointError::ContextMismatch`] when the fingerprint differs
 /// from `context`, and [`CheckpointError::Corrupt`] when the payload
 /// hash does not check out.
-pub(crate) fn open(buf: &[u8], context: u64) -> Result<Vec<u8>, CheckpointError> {
+pub(crate) fn open(buf: &[u8], context: u64) -> Result<&[u8], CheckpointError> {
     let mut r = Reader::with_magic(buf, CHECKPOINT_MAGIC)?;
     let version = r.u32()?;
     if version != CHECKPOINT_VERSION {
         return Err(CheckpointError::Version { found: version });
     }
     let found_context = r.u64()?;
-    let payload = r.bytes()?.to_vec();
+    let payload = r.bytes()?;
     let hash = r.u64()?;
     if !r.is_exhausted() {
         return Err(CheckpointError::Wire(WireError::Truncated));
     }
-    if hash != fnv64(&payload) {
+    if hash != fnv64(payload) {
         return Err(CheckpointError::Corrupt);
     }
     if found_context != context {
@@ -149,6 +178,23 @@ mod tests {
         let payload = b"session state bytes".to_vec();
         let sealed = seal(42, &payload);
         assert_eq!(open(&sealed, 42).unwrap(), payload);
+    }
+
+    #[test]
+    fn sealing_in_place_matches_sealing_a_prebuilt_payload() {
+        let write = |w: &mut Writer| {
+            w.u64(0x0123_4567_89ab_cdef);
+            w.bytes(&[7; 300]);
+        };
+        let mut payload = Writer::with_magic(PAYLOAD_MAGIC);
+        write(&mut payload);
+        let payload = payload.into_bytes();
+        // Exact, short and generous hints all give the same bytes.
+        for hint in [payload.len(), 0, 4 * payload.len()] {
+            let sealed = seal_with(42, hint, write);
+            assert_eq!(sealed, seal(42, &payload), "hint {hint}");
+        }
+        assert_eq!(open(&seal_with(42, 0, write), 42).unwrap(), payload);
     }
 
     #[test]

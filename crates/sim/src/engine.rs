@@ -29,7 +29,7 @@ use vcfr_core::{
     rerandomize, Drc, DrcConfig, LayoutMap, OrigAddr, RandAddr, StackBitmap, TranslationTable,
 };
 use vcfr_isa::wire::{Reader, WireError, Writer};
-use vcfr_isa::{Addr, ControlFlow, ExecError, Image, Inst, RunOutcome, StepInfo};
+use vcfr_isa::{Addr, ControlFlow, ExecError, Image, Inst, MemAccess, RunOutcome, SbInst, StepInfo};
 use vcfr_obs::TraceRing;
 use vcfr_rewriter::RandomizedProgram;
 
@@ -266,16 +266,36 @@ pub(crate) struct Engine {
 }
 
 /// Per-instruction timing precompute for superblock replay: everything
-/// `Engine::step` needs from `StepInfo` for an eligible (register-only)
-/// instruction, flattened so the batched path touches no decoder state.
+/// `Engine::step` needs from `StepInfo` for an eligible instruction
+/// (no control transfer, fault or stop), flattened so the batched path
+/// touches no decoder state. Built once, when the block is formed.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ReplayInst {
-    /// Architectural pc (identical to fetch pc in Baseline/Vcfr modes).
+    /// Architectural pc (what trace events carry).
     pub(crate) pc: Addr,
-    /// Address of the instruction's final byte (`pc + len - 1`).
+    /// Address the instruction's bytes are fetched from: `pc` in
+    /// baseline and VCFR modes, its scattered address under naive ILR.
+    pub(crate) fetch: Addr,
+    /// Address of the fetched instruction's final byte (`fetch + len - 1`).
     pub(crate) last: Addr,
     /// Extra execute cycles (`Engine::exec_extra`), e.g. 2 for `mul`.
     pub(crate) extra: u64,
+    /// Whether the instruction makes one data access
+    /// ([`Inst::accesses_memory`]).
+    pub(crate) mem: bool,
+}
+
+impl ReplayInst {
+    /// The precompute for `s`, fetched from `fetch`.
+    pub(crate) fn new(s: &SbInst, fetch: Addr) -> ReplayInst {
+        ReplayInst {
+            pc: s.pc,
+            fetch,
+            last: fetch + s.len as Addr - 1,
+            extra: Engine::exec_extra(&s.inst),
+            mem: s.inst.accesses_memory(),
+        }
+    }
 }
 
 /// Records one trace event. A free function so call sites can borrow the
@@ -456,22 +476,33 @@ impl Engine {
     /// Replays a run of superblock instructions through the timing model.
     ///
     /// Bit-for-bit equivalent to calling [`Engine::step`] once per
-    /// instruction when every instruction is superblock-eligible
-    /// (register-only: no memory accesses, no control flow, no faults)
-    /// and fetch pc equals architectural pc (Baseline/Vcfr modes). The
-    /// per-step work that is provably a no-op for such instructions —
-    /// the DRC flush / rerand epoch checks (the caller caps `insts` so
-    /// no boundary falls inside the batch), `vcfr_events` (iterates an
-    /// empty access list, matches no control), the data-access loop and
-    /// the control-flow hand-off — is skipped; everything else, including
-    /// cache/TLB/prefetcher state advanced by `fetch_line` on *hits* and
-    /// FetchStall/Commit trace events, runs exactly as in `step`.
-    pub(crate) fn replay_block(&mut self, insts: &[ReplayInst]) {
+    /// instruction when every instruction is superblock-eligible (no
+    /// control transfer, no fault, no stop) and `accesses` holds the
+    /// data accesses the machine reported for the run, in order — one
+    /// for each instruction whose `mem` flag is set. `vcfr` is the
+    /// randomized program in VCFR mode and `None` otherwise, as for
+    /// `step`. The per-step work that is provably a no-op for such
+    /// instructions — the DRC flush / rerand epoch checks (the caller
+    /// caps `insts` so no boundary falls inside the batch), the call and
+    /// return half of `vcfr_events`, and the control-flow hand-off — is
+    /// skipped; everything else runs exactly as in `step`: cache, TLB
+    /// and prefetcher state advanced by `fetch_line` even on hits, the
+    /// data accesses, the §IV-C stack-slot mediation (through the same
+    /// [`Engine::mediate_slot`]), and the FetchStall/Commit/DrcWalk
+    /// trace events.
+    pub(crate) fn replay_block(
+        &mut self,
+        insts: &[ReplayInst],
+        accesses: &[MemAccess],
+        vcfr: Option<&RandomizedProgram>,
+    ) {
         let cfg = self.cfg;
         let line_bytes = cfg.il1.line_bytes as Addr;
         let line_mask = !(line_bytes - 1);
+        let mut accesses = accesses.iter();
         for ri in insts {
             self.instructions += 1;
+            self.cur_pc = ri.pc;
 
             // ---- fetch --------------------------------------------------
             let mut start = self.fetch_time.max(self.redirect_at);
@@ -481,7 +512,7 @@ impl Engine {
                 }
             }
             let mut stall = 0;
-            let first = ri.pc & line_mask;
+            let first = ri.fetch & line_mask;
             let last = ri.last & line_mask;
             let mut line = first;
             loop {
@@ -511,13 +542,20 @@ impl Engine {
             let exec_start = (self.backend_time + 1).max(fetch_done + DECODE_DEPTH);
             self.iq.push_back(exec_start);
             self.exec_extra += ri.extra;
-            let exec_end = exec_start + ri.extra;
+            let mut exec_end = exec_start + ri.extra;
+            if ri.mem {
+                let acc = *accesses.next().expect("one access per memory instruction");
+                let lat = self.hier.data_access(acc.addr, acc.write, exec_start);
+                self.load_stall += lat;
+                exec_end += lat;
+                if let Some(rp) = vcfr {
+                    exec_end += self.mediate_slot(acc, rp, exec_start);
+                }
+            }
             self.backend_time = exec_end;
             trace_push(&mut self.trace, self.instructions, ri.pc, exec_end, TraceEventKind::Commit);
         }
-        if let Some(ri) = insts.last() {
-            self.cur_pc = ri.pc;
-        }
+        debug_assert!(accesses.next().is_none(), "every access belongs to an instruction");
     }
 
     fn vcfr_events(
@@ -527,51 +565,18 @@ impl Engine {
         exec_start: u64,
         exec_end: &mut u64,
     ) {
-        let drc = self.drc.as_mut().expect("vcfr mode has a DRC");
-        // Direct field access keeps the borrow disjoint from `drc`.
-        let table = self.epoch_table.as_ref().unwrap_or(&rp.table);
-
-        // Stack-slot hygiene and marked-slot loads (§IV-C): any read of a
-        // slot holding a randomized return address is transparently
-        // de-randomized (one DRC lookup); any unrelated overwrite clears
-        // the mark.
+        // A call's return-address push and a return's pop are the
+        // protocol itself, handled below; every other access goes
+        // through the stack-slot mediation.
+        let call = matches!(
+            info.control,
+            Some(ControlFlow::Call { .. }) | Some(ControlFlow::IndirectCall { .. })
+        );
+        let ret = matches!(info.control, Some(ControlFlow::Return { .. }));
         for acc in info.mem_accesses() {
-            if acc.write {
-                let is_call_push = matches!(
-                    info.control,
-                    Some(ControlFlow::Call { .. }) | Some(ControlFlow::IndirectCall { .. })
-                );
-                if !is_call_push && self.bitmap.is_marked(acc.addr) {
-                    self.bitmap.clear(acc.addr);
-                    self.stack_rand.remove(acc.addr);
-                    self.stack_orig.remove(acc.addr);
-                }
-            } else if self.bitmap.is_marked(acc.addr)
-                && !matches!(info.control, Some(ControlFlow::Return { .. }))
-            {
-                if let Some(v) = self.stack_rand.get(acc.addr) {
-                    if let Ok(l) = drc.derandomize(RandAddr(v), table) {
-                        if !l.hit {
-                            let walk = match self.cfg.drc_backing {
-                                DrcBacking::SharedL2 => {
-                                    self.hier.table_walk(l.entry_addr, exec_start)
-                                }
-                                DrcBacking::Dedicated { latency } => latency,
-                            };
-                            self.drc_walk += walk;
-                            *exec_end += walk;
-                            if walk > 0 {
-                                trace_push(
-                                    &mut self.trace,
-                                    self.instructions,
-                                    self.cur_pc,
-                                    exec_start,
-                                    TraceEventKind::DrcWalk { cycles: walk },
-                                );
-                            }
-                        }
-                    }
-                }
+            let protocol = if acc.write { call } else { ret };
+            if !protocol {
+                *exec_end += self.mediate_slot(acc, rp, exec_start);
             }
         }
 
@@ -584,24 +589,11 @@ impl Engine {
             // no stall.
             Some(ControlFlow::Call { ret_addr, .. })
             | Some(ControlFlow::IndirectCall { ret_addr, .. }) => {
+                let table = self.epoch_table.as_ref().unwrap_or(&rp.table);
+                let drc = self.drc.as_mut().expect("vcfr mode has a DRC");
                 if let Ok(l) = drc.randomize(OrigAddr(ret_addr), table) {
                     if !l.hit {
-                        let walk = match self.cfg.drc_backing {
-                            DrcBacking::SharedL2 => {
-                                self.hier.table_walk(l.entry_addr, exec_start)
-                            }
-                            DrcBacking::Dedicated { latency } => latency,
-                        };
-                        self.drc_walk += walk;
-                        if walk > 0 {
-                            trace_push(
-                                &mut self.trace,
-                                self.instructions,
-                                self.cur_pc,
-                                exec_start,
-                                TraceEventKind::DrcWalk { cycles: walk },
-                            );
-                        }
+                        self.walk(l.entry_addr, exec_start);
                     }
                     if let Some(push) = info.mem_accesses().find(|a| a.write) {
                         self.bitmap.mark(push.addr);
@@ -616,13 +608,68 @@ impl Engine {
             // critical path.
             Some(ControlFlow::Return { .. }) => {
                 if let Some(pop) = info.mem_accesses().next() {
-                    self.bitmap.clear(pop.addr);
-                    self.stack_rand.remove(pop.addr);
-                    self.stack_orig.remove(pop.addr);
+                    self.unmark(pop.addr);
                 }
             }
             _ => {}
         }
+    }
+
+    /// Stack-slot hygiene and marked-slot loads (§IV-C) for one data
+    /// access that is not a call's return-address push or a return's
+    /// pop: an overwrite of a slot holding a randomized return address
+    /// clears the mark, and a read of one is transparently
+    /// de-randomized — one DRC lookup, plus the table walk on a miss,
+    /// which the load waits for. Returns the cycles the access is
+    /// delayed by. [`Engine::step`] and [`Engine::replay_block`] both
+    /// mediate through here, so there is one copy of this hardware.
+    /// `cur_pc` must already name the accessing instruction (it tags the
+    /// DrcWalk trace event).
+    fn mediate_slot(&mut self, acc: MemAccess, rp: &RandomizedProgram, exec_start: u64) -> u64 {
+        if !self.bitmap.is_marked(acc.addr) {
+            return 0;
+        }
+        if acc.write {
+            self.unmark(acc.addr);
+            return 0;
+        }
+        let Some(v) = self.stack_rand.get(acc.addr) else {
+            return 0;
+        };
+        let table = self.epoch_table.as_ref().unwrap_or(&rp.table);
+        match self.drc.as_mut().expect("vcfr mode has a DRC").derandomize(RandAddr(v), table) {
+            Ok(l) if !l.hit => self.walk(l.entry_addr, exec_start),
+            _ => 0,
+        }
+    }
+
+    /// Forgets the randomized return address held by stack slot `slot`.
+    fn unmark(&mut self, slot: Addr) {
+        self.bitmap.clear(slot);
+        self.stack_rand.remove(slot);
+        self.stack_orig.remove(slot);
+    }
+
+    /// Walks the translation tables for a DRC miss on the entry at
+    /// `entry_addr`, starting at cycle `now`: counts the walk cycles,
+    /// records a DrcWalk trace event when there are any, and returns
+    /// them so the caller can decide whether they stall the pipeline.
+    fn walk(&mut self, entry_addr: Addr, now: u64) -> u64 {
+        let walk = match self.cfg.drc_backing {
+            DrcBacking::SharedL2 => self.hier.table_walk(entry_addr, now),
+            DrcBacking::Dedicated { latency } => latency,
+        };
+        self.drc_walk += walk;
+        if walk > 0 {
+            trace_push(
+                &mut self.trace,
+                self.instructions,
+                self.cur_pc,
+                now,
+                TraceEventKind::DrcWalk { cycles: walk },
+            );
+        }
+        walk
     }
 
     /// De-randomizes a transfer target through the DRC; returns the walk
@@ -631,32 +678,15 @@ impl Engine {
     /// were right, fetch already streams down the correct path and the
     /// walk completes in its shadow; only a redirect must wait for it.
     fn vcfr_derand(&mut self, target: Addr, rp: &RandomizedProgram, now: u64) -> u64 {
-        let drc = self.drc.as_mut().expect("vcfr mode has a DRC");
         let table = self.epoch_table.as_ref().unwrap_or(&rp.table);
         let rand = match &self.epoch_layout {
             Some(m) => m.to_rand(OrigAddr(target)).map(|r| r.raw()).unwrap_or(target),
             None => rp.rand_or_orig(target),
         };
-        if let Ok(l) = drc.derandomize(RandAddr(rand), table) {
-            if !l.hit {
-                let walk = match self.cfg.drc_backing {
-                    DrcBacking::SharedL2 => self.hier.table_walk(l.entry_addr, now),
-                    DrcBacking::Dedicated { latency } => latency,
-                };
-                self.drc_walk += walk;
-                if walk > 0 {
-                    trace_push(
-                        &mut self.trace,
-                        self.instructions,
-                        self.cur_pc,
-                        now,
-                        TraceEventKind::DrcWalk { cycles: walk },
-                    );
-                }
-                return walk;
-            }
+        match self.drc.as_mut().expect("vcfr mode has a DRC").derandomize(RandAddr(rand), table) {
+            Ok(l) if !l.hit => self.walk(l.entry_addr, now),
+            _ => 0,
         }
-        0
     }
 
     /// Swaps to a freshly re-randomized layout (§V-C): the pipeline
@@ -1516,40 +1546,95 @@ mod tests {
     #[test]
     fn replay_block_matches_stepwise_accounting() {
         // The batched replay path must leave the engine in the exact
-        // state N individual steps would: serialize both and compare.
+        // state stepping would. One machine drives two engines: one
+        // steps every instruction, the other replays each eligible run
+        // as a batch (as the session does) and steps the rest; then both
+        // are serialized and compared. The runs mix ALU work with loads,
+        // stores, pushes and pops, and in VCFR mode load and overwrite
+        // the marked return-address slot.
         let mut a = Asm::new(0x1000);
-        for i in 0..24 {
+        let data = a.data_zeroed(64);
+        a.mov_ri(Reg::Rcx, 12);
+        a.mov_ri(Reg::Rdx, data.0 as i64);
+        let top = a.here();
+        a.call_named("f");
+        a.alu_ri(AluOp::Sub, Reg::Rcx, 1);
+        a.cmp_i(Reg::Rcx, 0);
+        a.jcc(Cond::Ne, top);
+        a.halt();
+        a.func("f");
+        for i in 0..8 {
             a.alu_ri(AluOp::Add, Reg::Rax, i + 1);
             a.alu_ri(AluOp::Mul, Reg::Rbx, 3); // exercises exec_extra
+            a.load(Reg::Rsi, Reg::Rsp, 0); // the return-address slot
+            a.push(Reg::Rax);
+            a.push_i(i);
+            a.store_idx(Reg::Rdx, Reg::Rcx, 2, 0, Reg::Rax);
+            a.pop(Reg::Rdi);
+            a.pop(Reg::R8);
+            a.store(Reg::Rsp, 0, Reg::Rsi); // rewrites it with itself
+            a.load_b(Reg::R9, Reg::Rdx, 5);
+            a.store_b(Reg::Rdx, 6, Reg::R9);
             a.cmp_i(Reg::Rax, 7);
         }
-        a.halt();
+        a.ret();
         let img = a.finish().unwrap();
-
+        let rp = randomize(&img, &RandomizeConfig::with_seed(7)).unwrap();
         let cfg = SimConfig::default();
-        let mut stepped = Engine::new(&cfg, None);
-        let mut batched = Engine::new(&cfg, None);
-        let mut m = Machine::new(&img);
-        let mut replay = Vec::new();
-        let ident = |a: Addr| a;
-        for _ in 0..72 {
-            let info = m.step().unwrap().unwrap();
-            replay.push(ReplayInst {
-                pc: info.pc,
-                last: info.pc + info.len as Addr - 1,
-                extra: Engine::exec_extra(&info.inst),
-            });
-            stepped.step(&info, info.pc, &ident, None);
-        }
-        batched.replay_block(&replay);
+        let drc = DrcConfig::direct_mapped(16);
 
-        let mut wa = Writer::with_magic(*b"VCFRTEST");
-        stepped.save(&mut wa);
-        let mut wb = Writer::with_magic(*b"VCFRTEST");
-        batched.save(&mut wb);
-        assert_eq!(wa.into_bytes(), wb.into_bytes());
-        assert_eq!(batched.instructions, 72);
-        assert_eq!(batched.cur_pc, stepped.cur_pc);
+        for (name, mode) in [
+            ("base", Mode::Baseline(&img)),
+            ("naive", Mode::NaiveIlr(&rp)),
+            ("vcfr", Mode::Vcfr { program: &rp, drc }),
+        ] {
+            let (vcfr, drc, scattered) = match mode {
+                Mode::Baseline(_) => (None, None, false),
+                Mode::NaiveIlr(_) => (None, None, true),
+                Mode::Vcfr { program, drc } => (Some(program), Some(drc), false),
+            };
+            let fetch = |a: Addr| if scattered { rp.rand_or_orig(a) } else { a };
+            let mut stepped = Engine::new(&cfg, drc);
+            let mut batched = Engine::new(&cfg, drc);
+            let mut m = Machine::new(mode.image_ref());
+            let (mut batch, mut accesses) = (Vec::new(), Vec::new());
+            let mut replayed = 0;
+            while let Some(info) = m.step().unwrap() {
+                stepped.step(&info, fetch(info.pc), &fetch, vcfr);
+                if vcfr_isa::superblock_eligible(&info.inst) {
+                    let s = vcfr_isa::SbInst { pc: info.pc, inst: info.inst, len: info.len };
+                    batch.push(ReplayInst::new(&s, fetch(info.pc)));
+                    accesses.extend(info.mem_accesses());
+                    continue;
+                }
+                replayed += batch.len();
+                batched.replay_block(&batch, &accesses, vcfr);
+                batch.clear();
+                accesses.clear();
+                batched.step(&info, fetch(info.pc), &fetch, vcfr);
+            }
+            assert!(batch.is_empty(), "{name}: the run ends on halt");
+            assert!(replayed > 1000, "{name}: {replayed} replayed instructions");
+            if scattered {
+                assert_ne!(fetch(0x1000 + 10), 0x1000 + 10, "naive fetches are scattered");
+            }
+
+            let mut wa = Writer::with_magic(*b"VCFRTEST");
+            stepped.save(&mut wa);
+            let mut wb = Writer::with_magic(*b"VCFRTEST");
+            batched.save(&mut wb);
+            assert_eq!(wa.into_bytes(), wb.into_bytes(), "{name}");
+            assert_eq!(batched.instructions, stepped.instructions, "{name}");
+            assert_eq!(batched.cur_pc, stepped.cur_pc, "{name}");
+            if let Some(d) = &batched.drc {
+                // Per call: randomize the return address, de-randomize
+                // the target and the return, and de-randomize the first
+                // (replayed) load of the marked slot — the store then
+                // clears the mark, so the later loads cost nothing.
+                assert_eq!(d.stats().rand_lookups, 12, "{name}");
+                assert_eq!(d.stats().derand_lookups, 12 * 3, "{name}");
+            }
+        }
     }
 
     #[test]

@@ -198,6 +198,11 @@ impl<'a> MultiCore<'a> {
         MultiCoreOutput { per_core, shared_l2: self.shared.l2.stats(), cycles, stats, outcomes }
     }
 
+    /// The cores' functional machines, in core order.
+    pub(crate) fn machines(&self) -> &[Machine] {
+        &self.machines
+    }
+
     /// Serialises every core (machine + engine + done flag) and the
     /// shared level, in core order (checkpoint support).
     pub(crate) fn save(&self, w: &mut Writer) {

@@ -22,21 +22,25 @@
 
 use crate::checkpoint::{self, CheckpointError, PAYLOAD_MAGIC};
 use crate::config::{EngineKind, SimConfig};
-use crate::engine::{
-    exec_extra_cycles, Engine, IntervalSample, Mode, ReplayInst, SimError, SimOutput,
-};
+use crate::engine::{Engine, IntervalSample, Mode, ReplayInst, SimError, SimOutput};
 use crate::error::VcfrError;
 use crate::faults::{FaultPlan, FaultRecord, FaultStats};
 use crate::multicore::{MultiCore, MultiCoreOutput};
 use crate::ooo::{OooConfig, OooEngine};
 use crate::stats::SimStats;
-use vcfr_isa::wire::{Reader, WireError, Writer};
+use vcfr_isa::wire::{Reader, WireError};
 use vcfr_isa::{
-    Addr, Machine, RunOutcome, SectionKind, StopReason, SuperblockCache, SuperblockLookup,
-    SUPERBLOCK_MAX_INSTS,
+    Addr, Machine, MemAccess, RunOutcome, SectionKind, StopReason, SuperblockCache,
+    SuperblockLookup, SUPERBLOCK_MAX_INSTS,
 };
 use vcfr_obs::ProgressEvent;
 use vcfr_rewriter::RandomizedProgram;
+
+/// Room [`Session::checkpoint`] reserves per engine for its saved state
+/// beyond the machine: caches, predictors, DRC, trace ring, counters.
+/// The default configuration saves about 136 KiB, plus about 11 KiB
+/// for a 512-entry DRC.
+const ENGINE_STATE_BYTES: usize = 160 << 10;
 
 /// A telemetry callback receiving [`ProgressEvent`]s as the run crosses
 /// instruction-count boundaries (see [`Session::with_progress`]).
@@ -168,6 +172,9 @@ pub struct Session<'a> {
     /// Per-block engine timing precompute, parallel to the cache's
     /// block ids.
     sb_timing: Vec<Vec<ReplayInst>>,
+    /// The data accesses of the batch being replayed, handed from the
+    /// machine to the engine; reused so a batch allocates nothing.
+    sb_accesses: Vec<MemAccess>,
     /// Progress-event interval in instructions (0 = telemetry off). Like
     /// the superblock toggle, deliberately *not* part of the checkpoint
     /// context or payload: the tap observes the run, it never shapes it,
@@ -340,6 +347,7 @@ impl<'a> Session<'a> {
             superblocks: true,
             sb_cache,
             sb_timing: Vec::new(),
+            sb_accesses: Vec::new(),
             progress_every: 0,
             next_progress: u64::MAX,
             progress_seq: 0,
@@ -604,12 +612,10 @@ impl<'a> Session<'a> {
 
     /// Attempts to advance the run through a superblock replay. Returns
     /// `false` when the slow path must handle the next instruction: the
-    /// backend is not the in-order engine, the mode is ineligible
-    /// (NaiveIlr fetches from scattered addresses), the machine is
-    /// stopped, no block starts at the current pc, or the admissible
-    /// batch length is zero because the very next instruction carries a
-    /// boundary event (sample, scheduled fault, DRC flush, rerand epoch,
-    /// budget edge).
+    /// backend is not the in-order engine, the machine is stopped, no
+    /// block starts at the current pc, or the admissible batch length is
+    /// zero because the very next instruction carries a boundary event
+    /// (sample, scheduled fault, DRC flush, rerand epoch, budget edge).
     ///
     /// The batch length is capped so that no observability or
     /// dependability hook can fall *inside* a batch — every hook in
@@ -618,14 +624,6 @@ impl<'a> Session<'a> {
     fn try_superblock(&mut self, stop_at: u64) -> bool {
         let Backend::InOrder { machine, engine } = &mut self.backend else {
             return false;
-        };
-        let vcfr = match &self.mode {
-            Mode::Baseline(_) => false,
-            Mode::Vcfr { .. } => true,
-            // Naive ILR fetches every instruction from its scattered
-            // randomized address: the fast path's pc-contiguity premise
-            // does not hold.
-            Mode::NaiveIlr(_) => return false,
         };
         if machine.stop_reason().is_some() {
             return false;
@@ -638,22 +636,24 @@ impl<'a> Session<'a> {
                 let formed = machine.form_superblock(pc, SUPERBLOCK_MAX_INSTS);
                 match self.sb_cache.record(pc, formed) {
                     Some(id) => {
+                        // Naive ILR fetches every instruction from its
+                        // scattered address; the other modes fetch at pc.
+                        let fetch = |a: Addr| match &self.mode {
+                            Mode::NaiveIlr(rp) => rp.rand_or_orig(a),
+                            _ => a,
+                        };
                         let sb = self.sb_cache.get(id);
-                        self.sb_timing.push(
-                            sb.insts
-                                .iter()
-                                .map(|s| ReplayInst {
-                                    pc: s.pc,
-                                    last: s.pc + s.len as Addr - 1,
-                                    extra: exec_extra_cycles(&s.inst),
-                                })
-                                .collect(),
-                        );
+                        let plan = sb.insts.iter().map(|s| ReplayInst::new(s, fetch(s.pc)));
+                        self.sb_timing.push(plan.collect());
                         id
                     }
                     None => return false,
                 }
             }
+        };
+        let vcfr = match &self.mode {
+            Mode::Vcfr { program, .. } => Some(*program),
+            _ => None,
         };
 
         // Cap the batch at the nearest boundary. All of these are
@@ -672,7 +672,7 @@ impl<'a> Session<'a> {
                 n = n.min(f.at_inst.saturating_sub(i));
             }
         }
-        if vcfr {
+        if vcfr.is_some() {
             // The instruction landing exactly on a flush/epoch multiple
             // must take the slow path: `Engine::step` performs the flush
             // or table swap *before* that instruction's fetch.
@@ -689,8 +689,9 @@ impl<'a> Session<'a> {
             return false;
         }
         let n = n as usize;
-        machine.replay_superblock(self.sb_cache.get(id), n);
-        engine.replay_block(&self.sb_timing[id as usize][..n]);
+        self.sb_accesses.clear();
+        machine.replay_superblock(self.sb_cache.get(id), n, &mut self.sb_accesses);
+        engine.replay_block(&self.sb_timing[id as usize][..n], &self.sb_accesses, vcfr);
         self.sb_batches += 1;
         self.sb_insts += n as u64;
         true
@@ -813,31 +814,47 @@ impl<'a> Session<'a> {
     /// machine+engine, the out-of-order engine (window geometry
     /// included), or the whole multicore fleet plus the shared level.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = Writer::with_magic(PAYLOAD_MAGIC);
-        match &self.backend {
-            Backend::InOrder { machine, engine } => {
-                machine.save(&mut w);
-                engine.save(&mut w);
+        checkpoint::seal_with(self.context(), self.checkpoint_hint(), |w| {
+            match &self.backend {
+                Backend::InOrder { machine, engine } => {
+                    machine.save(w);
+                    engine.save(w);
+                }
+                Backend::Ooo { machine, engine } => {
+                    machine.save(w);
+                    engine.save(w);
+                }
+                Backend::Multicore(mc) => mc.save(w),
             }
-            Backend::Ooo { machine, engine } => {
-                machine.save(&mut w);
-                engine.save(&mut w);
+            w.u64(self.fault_idx as u64);
+            w.u64(self.samples.len() as u64);
+            for s in &self.samples {
+                w.u64(s.first_inst);
+                w.u64(s.instructions);
+                w.u64(s.cycles);
+                w.u64(s.ipc.to_bits());
+                w.u64(s.il1_miss_rate.to_bits());
+                w.u64(s.drc_miss_rate.to_bits());
             }
-            Backend::Multicore(mc) => mc.save(&mut w),
-        }
-        w.u64(self.fault_idx as u64);
-        w.u64(self.samples.len() as u64);
-        for s in &self.samples {
-            w.u64(s.first_inst);
-            w.u64(s.instructions);
-            w.u64(s.cycles);
-            w.u64(s.ipc.to_bits());
-            w.u64(s.il1_miss_rate.to_bits());
-            w.u64(s.drc_miss_rate.to_bits());
-        }
-        self.last.save(&mut w);
-        w.u64(self.next_sample);
-        checkpoint::seal(self.context(), &w.into_bytes())
+            self.last.save(w);
+            w.u64(self.next_sample);
+        })
+    }
+
+    /// The expected length of a checkpoint payload, so
+    /// [`Session::checkpoint`] allocates once: the machines' exact saved
+    /// length (memory pages dominate), a fixed bound for each engine's
+    /// state and the session's own fields, and the samples.
+    fn checkpoint_hint(&self) -> usize {
+        let (machines, engines) = match &self.backend {
+            Backend::InOrder { machine, .. } | Backend::Ooo { machine, .. } => {
+                (machine.saved_len(), 1)
+            }
+            Backend::Multicore(mc) => {
+                (mc.machines().iter().map(Machine::saved_len).sum(), mc.machines().len() + 1)
+            }
+        };
+        machines + engines * ENGINE_STATE_BYTES + self.samples.len() * 6 * 8
     }
 
     /// Replaces this session's state with a checkpoint taken by an
@@ -853,7 +870,7 @@ impl<'a> Session<'a> {
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), VcfrError> {
         let payload = checkpoint::open(bytes, self.context())?;
         let wire = |e: WireError| VcfrError::Checkpoint(CheckpointError::Wire(e));
-        let mut r = Reader::with_magic(&payload, PAYLOAD_MAGIC).map_err(wire)?;
+        let mut r = Reader::with_magic(payload, PAYLOAD_MAGIC).map_err(wire)?;
         let drc_cfg = match &self.mode {
             Mode::Vcfr { drc, .. } => Some(*drc),
             _ => None,
@@ -1011,6 +1028,29 @@ mod tests {
         // And the post-resume checkpoint stream stays stable too.
         let again = resumed.checkpoint();
         resumed.restore(&again).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_hint_covers_the_payload_without_waste() {
+        // The checkpoint buffer is sized once from the hint: it must not
+        // have to grow for the default configuration, and must not
+        // reserve much more than it uses.
+        let img = workload();
+        let rp = randomize(&img, &RandomizeConfig::with_seed(2)).unwrap();
+        let cfg = SimConfig::default();
+        let ooo = SimConfig { engine: EngineKind::Ooo, ..SimConfig::default() };
+        for (cfg, mode) in [
+            (&cfg, Mode::Baseline(&img)),
+            (&cfg, Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(512) }),
+            (&ooo, Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(512) }),
+        ] {
+            let mut s = Session::new(mode, cfg, 30_000).unwrap().with_sampling(1_000);
+            s.run_for(7_000).unwrap();
+            let payload = s.checkpoint().len() - checkpoint::ENVELOPE_BYTES;
+            let hint = s.checkpoint_hint();
+            assert!(payload <= hint, "{payload} > {hint}");
+            assert!(hint - payload < 48 << 10, "{payload} vs {hint}");
+        }
     }
 
     #[test]

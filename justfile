@@ -14,9 +14,11 @@ repro-check:
 bench-smoke:
     cargo bench -p vcfr-bench --bench components -- engine
 
-# Superblock equivalence smoke: every workload x {base, vcfr, rerand,
-# faulted}, fast path on vs off, byte-identical stats, samples, fault
-# records, and checkpoints (docs/superblocks.md).
+# Superblock equivalence smoke: every workload x {base, naive, vcfr,
+# rerand, faulted}, fast path on vs off, byte-identical stats, samples,
+# fault records, trace rings, and checkpoints, plus a program whose
+# replayed blocks load and overwrite a marked return-address slot
+# (docs/superblocks.md).
 superblock-smoke:
     cargo test --release -p vcfr-sim --test superblock_equiv
 
