@@ -27,7 +27,10 @@ use vcfr_isa::wire::{Reader, WireError, Writer};
 /// Version 2 appended `contention_stall_cycles` to the [`crate::SimStats`]
 /// wire form, extended the hierarchy stream with the shared-port state,
 /// and added the engine-kind-specific session payloads (OoO, multicore).
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Version 3 gave the OoO payload the stack-slot state (bitmap and slot
+/// maps) of the mediation layer it now shares with the in-order core;
+/// in-order and multicore payloads are unchanged.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Magic prefix of the checkpoint envelope.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"VCFRCKP1";

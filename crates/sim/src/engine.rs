@@ -10,26 +10,25 @@
 //!   mapping itself is free, as the paper assumes), destroying fetch
 //!   locality;
 //! * [`Mode::Vcfr`] — virtual control flow randomization: fetch stays in
-//!   the original space, and a [`Drc`] translates at control transfers,
-//!   calls, returns and marked stack loads, walking the in-memory tables
-//!   through the unified L2 on a miss.
+//!   the original space, and a [`vcfr_core::Drc`] translates at control
+//!   transfers, calls, returns and marked stack loads, walking the
+//!   in-memory tables through the unified L2 on a miss. That mediation
+//!   layer lives in `mediation.rs`, shared with the other engines.
 
-use crate::config::{DrcBacking, SimConfig};
+use crate::config::SimConfig;
 use crate::faults::{
     ContainmentPolicy, FaultOutcome, FaultPersistence, FaultPlan, FaultRecord, FaultStats,
     FaultTarget, ScheduledFault,
 };
-use crate::flatmap::FlatMap;
 use crate::hierarchy::MemoryHierarchy;
-use crate::predict::{BranchStats, Btb, Gshare, Ras};
+use crate::mediation::Mediation;
+use crate::predict::Predictors;
 use crate::stats::SimStats;
 use std::collections::VecDeque;
 use std::fmt;
-use vcfr_core::{
-    rerandomize, Drc, DrcConfig, LayoutMap, OrigAddr, RandAddr, StackBitmap, TranslationTable,
-};
+use vcfr_core::{DrcConfig, RandAddr};
 use vcfr_isa::wire::{Reader, WireError, Writer};
-use vcfr_isa::{Addr, ControlFlow, ExecError, Image, Inst, MemAccess, RunOutcome, SbInst, StepInfo};
+use vcfr_isa::{Addr, ExecError, Image, Inst, MemAccess, RunOutcome, SbInst, StepInfo};
 use vcfr_obs::TraceRing;
 use vcfr_rewriter::RandomizedProgram;
 
@@ -50,13 +49,32 @@ pub enum Mode<'a> {
     },
 }
 
-impl Mode<'_> {
+impl<'a> Mode<'a> {
     /// The image the architecture executes (always the original
     /// semantics).
-    pub(crate) fn image_ref(&self) -> &Image {
-        match self {
+    pub(crate) fn image_ref(&self) -> &'a Image {
+        match *self {
             Mode::Baseline(img) => img,
             Mode::NaiveIlr(rp) | Mode::Vcfr { program: rp, .. } => &rp.original,
+        }
+    }
+
+    /// The address the instruction at architectural `pc` is fetched from:
+    /// its scattered address under naive ILR, `pc` itself otherwise. The
+    /// branch predictors are indexed in this space too.
+    pub(crate) fn fetch_addr(&self, pc: Addr) -> Addr {
+        match self {
+            Mode::NaiveIlr(rp) => rp.rand_or_orig(pc),
+            _ => pc,
+        }
+    }
+
+    /// The randomized program and DRC geometry of a VCFR machine (`None`
+    /// for the other two).
+    pub(crate) fn vcfr(&self) -> Option<(&'a RandomizedProgram, DrcConfig)> {
+        match *self {
+            Mode::Vcfr { program, drc } => Some((program, drc)),
+            _ => None,
         }
     }
 }
@@ -64,7 +82,15 @@ impl Mode<'_> {
 /// Extra execution latency of long-running operations, shared by the
 /// in-order and out-of-order cores.
 pub(crate) fn exec_extra_cycles(inst: &Inst) -> u64 {
-    Engine::exec_extra(inst)
+    use vcfr_isa::AluOp::*;
+    match inst {
+        Inst::AluRR { op, .. } | Inst::AluRI { op, .. } => match op {
+            Mul => 2,
+            Div | Rem => 12,
+            _ => 0,
+        },
+        _ => 0,
+    }
 }
 
 /// One entry in the post-mortem trace ring: something the pipeline did
@@ -159,10 +185,6 @@ pub enum SimError {
         /// The last pipeline events before the halt.
         trace: Vec<TraceEvent>,
     },
-    /// The engine was asked to mediate a VCFR control transfer but was
-    /// built without a DRC — a mode/configuration mismatch that would
-    /// otherwise corrupt the timing model silently.
-    MissingDrc,
 }
 
 impl fmt::Display for SimError {
@@ -188,10 +210,6 @@ impl fmt::Display for SimError {
                 }
                 Ok(())
             }
-            SimError::MissingDrc => write!(
-                f,
-                "engine has no DRC but was asked to mediate a VCFR transfer (mode/configuration mismatch)"
-            ),
         }
     }
 }
@@ -217,40 +235,19 @@ pub struct SimOutput {
 /// Pipeline depth between fetch completion and execute.
 const DECODE_DEPTH: u64 = 3;
 
-/// Fixed cost of an epoch swap: drain the pipeline, flush the DRC, and
-/// switch the table base registers. Shared with the out-of-order core.
-pub(crate) const RERAND_QUIESCE_CYCLES: u64 = 200;
-/// Per-entry cost of rebuilding the in-memory translation tables.
-pub(crate) const RERAND_ENTRY_CYCLES: u64 = 2;
-/// Per-slot cost of rewriting a live randomized return address.
-const RERAND_SLOT_CYCLES: u64 = 4;
-
-pub(crate) struct Engine {
+pub(crate) struct Engine<'a> {
     pub(crate) cfg: SimConfig,
+    /// The machine this core simulates.
+    pub(crate) mode: Mode<'a>,
     pub(crate) hier: MemoryHierarchy,
-    pub(crate) gshare: Gshare,
-    pub(crate) btb: Btb,
-    pub(crate) ras: Ras,
-    pub(crate) bstats: BranchStats,
+    pub(crate) pred: Predictors,
     pub(crate) fetch_time: u64,
     pub(crate) backend_time: u64,
     pub(crate) redirect_at: u64,
     pub(crate) window_line: Option<Addr>,
     pub(crate) iq: VecDeque<u64>,
-    pub(crate) drc: Option<Drc>,
-    pub(crate) bitmap: StackBitmap,
-    pub(crate) stack_rand: FlatMap,
-    /// Original return address held by each marked slot, kept in lockstep
-    /// with `stack_rand` so epoch swaps can re-randomize live slots.
-    pub(crate) stack_orig: FlatMap,
-    /// Layout of the current re-randomization epoch (None before the
-    /// first swap: `rp.layout` is live).
-    pub(crate) epoch_layout: Option<LayoutMap>,
-    /// Tables of the current epoch, rebuilt at `rp.table.base()` so the
-    /// invisible TLB pages stay valid across swaps.
-    pub(crate) epoch_table: Option<TranslationTable>,
-    pub(crate) rerand_epochs: u64,
-    pub(crate) rerand_stall: u64,
+    /// The VCFR mediation layer (`None` outside VCFR mode).
+    pub(crate) med: Option<Mediation<'a>>,
     pub(crate) fstats: FaultStats,
     pub(crate) frecords: Vec<FaultRecord>,
     pub(crate) fetch_stall: u64,
@@ -278,7 +275,7 @@ pub(crate) struct ReplayInst {
     pub(crate) fetch: Addr,
     /// Address of the fetched instruction's final byte (`fetch + len - 1`).
     pub(crate) last: Addr,
-    /// Extra execute cycles (`Engine::exec_extra`), e.g. 2 for `mul`.
+    /// Extra execute cycles ([`exec_extra_cycles`]), e.g. 2 for `mul`.
     pub(crate) extra: u64,
     /// Whether the instruction makes one data access
     /// ([`Inst::accesses_memory`]).
@@ -292,7 +289,7 @@ impl ReplayInst {
             pc: s.pc,
             fetch,
             last: fetch + s.len as Addr - 1,
-            extra: Engine::exec_extra(&s.inst),
+            extra: exec_extra_cycles(&s.inst),
             mem: s.inst.accesses_memory(),
         }
     }
@@ -305,28 +302,21 @@ fn trace_push(trace: &mut TraceRing<TraceEvent>, seq: u64, pc: Addr, cycle: u64,
     trace.push(TraceEvent { seq, pc, cycle, kind });
 }
 
-impl Engine {
-    pub(crate) fn new(cfg: &SimConfig, drc: Option<DrcConfig>) -> Engine {
+impl<'a> Engine<'a> {
+    pub(crate) fn new(cfg: &SimConfig, mode: Mode<'a>) -> Engine<'a> {
+        let mut hier = MemoryHierarchy::new(cfg);
+        let med = Mediation::new(&mode, cfg, &mut hier);
         Engine {
             cfg: *cfg,
-            hier: MemoryHierarchy::new(cfg),
-            gshare: Gshare::new(cfg.gshare),
-            btb: Btb::new(cfg.btb),
-            ras: Ras::new(cfg.ras_entries),
-            bstats: BranchStats::default(),
+            mode,
+            hier,
+            pred: Predictors::new(cfg),
             fetch_time: 0,
             backend_time: 0,
             redirect_at: 0,
             window_line: None,
             iq: VecDeque::new(),
-            drc: drc.map(Drc::new),
-            bitmap: StackBitmap::new(),
-            stack_rand: FlatMap::new(),
-            stack_orig: FlatMap::new(),
-            epoch_layout: None,
-            epoch_table: None,
-            rerand_epochs: 0,
-            rerand_stall: 0,
+            med,
             fstats: FaultStats::default(),
             frecords: Vec::new(),
             fetch_stall: 0,
@@ -343,18 +333,6 @@ impl Engine {
     /// Packages an architectural fault with the post-mortem trace.
     pub(crate) fn fault(&self, cause: ExecError) -> SimError {
         SimError::Exec { cause, trace: self.trace.to_vec() }
-    }
-
-    fn exec_extra(inst: &Inst) -> u64 {
-        use vcfr_isa::AluOp::*;
-        match inst {
-            Inst::AluRR { op, .. } | Inst::AluRI { op, .. } => match op {
-                Mul => 2,
-                Div | Rem => 12,
-                _ => 0,
-            },
-            _ => 0,
-        }
     }
 
     fn redirect(&mut self, at: u64) {
@@ -375,34 +353,16 @@ impl Engine {
         }
     }
 
-    /// One instruction through the timing model. `fetch_pc` is the
-    /// address instruction bytes are fetched from (mode-dependent);
-    /// `key` maps architectural addresses into predictor space.
-    pub(crate) fn step(
-        &mut self,
-        info: &StepInfo,
-        fetch_pc: Addr,
-        key: &impl Fn(Addr) -> Addr,
-        vcfr: Option<&RandomizedProgram>,
-    ) {
+    /// One instruction through the timing model.
+    pub(crate) fn step(&mut self, info: &StepInfo) {
         self.instructions += 1;
         self.cur_pc = info.pc;
         let cfg = self.cfg;
 
-        // Context-switch model: periodically invalidate the DRC (other
-        // processes own it in between).
-        if let (Some(interval), Some(drc)) = (cfg.drc_flush_interval, self.drc.as_mut()) {
-            if interval > 0 && self.instructions.is_multiple_of(interval) {
-                drc.flush();
-            }
-        }
-
-        // Live re-randomization (§V-C): every N instructions a VCFR run
-        // swaps to a fresh layout, paying the flush-and-rebuild pause.
-        if let (Some(epoch), Some(rp)) = (cfg.rerand_epoch, vcfr) {
-            if epoch > 0 && self.instructions.is_multiple_of(epoch) {
-                self.rerand_swap(rp);
-            }
+        // Context-switch DRC flushes and live re-randomization (§V-C):
+        // both land before the instruction's fetch.
+        if self.med.as_mut().is_some_and(|m| m.tick(self.instructions)) {
+            self.rerand();
         }
 
         // ---- fetch ------------------------------------------------------
@@ -414,6 +374,7 @@ impl Engine {
         }
         let mut stall = 0;
         let line_bytes = cfg.il1.line_bytes as Addr;
+        let fetch_pc = self.mode.fetch_addr(info.pc);
         let first = fetch_pc & !(line_bytes - 1);
         let last = (fetch_pc + info.len as Addr - 1) & !(line_bytes - 1);
         let mut line = first;
@@ -444,7 +405,7 @@ impl Engine {
         let exec_start = (self.backend_time + 1).max(fetch_done + DECODE_DEPTH);
         self.iq.push_back(exec_start);
 
-        let extra = Engine::exec_extra(&info.inst);
+        let extra = exec_extra_cycles(&info.inst);
         self.exec_extra += extra;
         let mut exec_end = exec_start + extra;
         for acc in info.mem_accesses() {
@@ -454,13 +415,22 @@ impl Engine {
         }
 
         // ---- VCFR mediation layer ----------------------------------------
-        if let (Some(rp), Some(_)) = (vcfr, self.drc.as_ref()) {
-            self.vcfr_events(info, rp, exec_start, &mut exec_end);
+        if let Some(med) = &mut self.med {
+            exec_end += med.mediate(info, &mut self.hier, exec_start, |cycles| {
+                self.drc_walk += cycles;
+                let walk = TraceEventKind::DrcWalk { cycles };
+                trace_push(&mut self.trace, self.instructions, info.pc, exec_start, walk);
+            });
         }
 
         // ---- control flow ------------------------------------------------
         if let Some(cf) = info.control {
-            self.control(info, cf, key, vcfr, fetch_done, exec_end);
+            let (med, hier) = (self.med.as_mut(), &mut self.hier);
+            let r = self.pred.resolve(info.pc, cf, &self.mode, med, hier, fetch_done, exec_end);
+            self.walked(r.walk, exec_end);
+            if let Some(at) = r.redirect {
+                self.redirect(at);
+            }
             // A taken transfer resets the byte queue: the fetch unit
             // re-fetches the target line even when it is the line it was
             // already streaming (XIOSim's byteQ behaviour).
@@ -479,23 +449,17 @@ impl Engine {
     /// instruction when every instruction is superblock-eligible (no
     /// control transfer, no fault, no stop) and `accesses` holds the
     /// data accesses the machine reported for the run, in order — one
-    /// for each instruction whose `mem` flag is set. `vcfr` is the
-    /// randomized program in VCFR mode and `None` otherwise, as for
-    /// `step`. The per-step work that is provably a no-op for such
-    /// instructions — the DRC flush / rerand epoch checks (the caller
-    /// caps `insts` so no boundary falls inside the batch), the call and
-    /// return half of `vcfr_events`, and the control-flow hand-off — is
+    /// for each instruction whose `mem` flag is set. The per-step work
+    /// that is provably a no-op for such instructions — the mediation
+    /// tick (the caller caps `insts` short of
+    /// [`Mediation::next_boundary`]), the call and return half of
+    /// [`Mediation::mediate`], and the control-flow hand-off — is
     /// skipped; everything else runs exactly as in `step`: cache, TLB
     /// and prefetcher state advanced by `fetch_line` even on hits, the
     /// data accesses, the §IV-C stack-slot mediation (through the same
-    /// [`Engine::mediate_slot`]), and the FetchStall/Commit/DrcWalk
+    /// [`Mediation::mediate_slot`]), and the FetchStall/Commit/DrcWalk
     /// trace events.
-    pub(crate) fn replay_block(
-        &mut self,
-        insts: &[ReplayInst],
-        accesses: &[MemAccess],
-        vcfr: Option<&RandomizedProgram>,
-    ) {
+    pub(crate) fn replay_block(&mut self, insts: &[ReplayInst], accesses: &[MemAccess]) {
         let cfg = self.cfg;
         let line_bytes = cfg.il1.line_bytes as Addr;
         let line_mask = !(line_bytes - 1);
@@ -548,8 +512,9 @@ impl Engine {
                 let lat = self.hier.data_access(acc.addr, acc.write, exec_start);
                 self.load_stall += lat;
                 exec_end += lat;
-                if let Some(rp) = vcfr {
-                    exec_end += self.mediate_slot(acc, rp, exec_start);
+                if let Some(med) = &mut self.med {
+                    let walk = med.mediate_slot(acc, &mut self.hier, exec_start);
+                    exec_end += self.walked(walk, exec_start);
                 }
             }
             self.backend_time = exec_end;
@@ -558,174 +523,24 @@ impl Engine {
         debug_assert!(accesses.next().is_none(), "every access belongs to an instruction");
     }
 
-    fn vcfr_events(
-        &mut self,
-        info: &StepInfo,
-        rp: &RandomizedProgram,
-        exec_start: u64,
-        exec_end: &mut u64,
-    ) {
-        // A call's return-address push and a return's pop are the
-        // protocol itself, handled below; every other access goes
-        // through the stack-slot mediation.
-        let call = matches!(
-            info.control,
-            Some(ControlFlow::Call { .. }) | Some(ControlFlow::IndirectCall { .. })
-        );
-        let ret = matches!(info.control, Some(ControlFlow::Return { .. }));
-        for acc in info.mem_accesses() {
-            let protocol = if acc.write { call } else { ret };
-            if !protocol {
-                *exec_end += self.mediate_slot(acc, rp, exec_start);
-            }
+    /// Counts `cycles` of DRC table walk started at cycle `now` and, when
+    /// there are any, records a DrcWalk trace event. Returns `cycles`.
+    fn walked(&mut self, cycles: u64, now: u64) -> u64 {
+        if cycles > 0 {
+            self.drc_walk += cycles;
+            let walk = TraceEventKind::DrcWalk { cycles };
+            trace_push(&mut self.trace, self.instructions, self.cur_pc, now, walk);
         }
-
-        match info.control {
-            // A call pushes the *randomized* return address: one
-            // randomization lookup, plus bitmap marking of the slot. The
-            // walk on a miss happens in the store's shadow (the push need
-            // not retire before younger instructions execute on an
-            // in-order store buffer), so it contributes table traffic but
-            // no stall.
-            Some(ControlFlow::Call { ret_addr, .. })
-            | Some(ControlFlow::IndirectCall { ret_addr, .. }) => {
-                let table = self.epoch_table.as_ref().unwrap_or(&rp.table);
-                let drc = self.drc.as_mut().expect("vcfr mode has a DRC");
-                if let Ok(l) = drc.randomize(OrigAddr(ret_addr), table) {
-                    if !l.hit {
-                        self.walk(l.entry_addr, exec_start);
-                    }
-                    if let Some(push) = info.mem_accesses().find(|a| a.write) {
-                        self.bitmap.mark(push.addr);
-                        self.stack_rand.insert(push.addr, l.translated);
-                        self.stack_orig.insert(push.addr, ret_addr);
-                    }
-                }
-            }
-            // Return-address bookkeeping; the de-randomization of the
-            // popped target happens in the control-flow handler, where
-            // prediction correctness decides whether the walk is on the
-            // critical path.
-            Some(ControlFlow::Return { .. }) => {
-                if let Some(pop) = info.mem_accesses().next() {
-                    self.unmark(pop.addr);
-                }
-            }
-            _ => {}
-        }
+        cycles
     }
 
-    /// Stack-slot hygiene and marked-slot loads (§IV-C) for one data
-    /// access that is not a call's return-address push or a return's
-    /// pop: an overwrite of a slot holding a randomized return address
-    /// clears the mark, and a read of one is transparently
-    /// de-randomized — one DRC lookup, plus the table walk on a miss,
-    /// which the load waits for. Returns the cycles the access is
-    /// delayed by. [`Engine::step`] and [`Engine::replay_block`] both
-    /// mediate through here, so there is one copy of this hardware.
-    /// `cur_pc` must already name the accessing instruction (it tags the
-    /// DrcWalk trace event).
-    fn mediate_slot(&mut self, acc: MemAccess, rp: &RandomizedProgram, exec_start: u64) -> u64 {
-        if !self.bitmap.is_marked(acc.addr) {
-            return 0;
-        }
-        if acc.write {
-            self.unmark(acc.addr);
-            return 0;
-        }
-        let Some(v) = self.stack_rand.get(acc.addr) else {
-            return 0;
-        };
-        let table = self.epoch_table.as_ref().unwrap_or(&rp.table);
-        match self.drc.as_mut().expect("vcfr mode has a DRC").derandomize(RandAddr(v), table) {
-            Ok(l) if !l.hit => self.walk(l.entry_addr, exec_start),
-            _ => 0,
-        }
-    }
-
-    /// Forgets the randomized return address held by stack slot `slot`.
-    fn unmark(&mut self, slot: Addr) {
-        self.bitmap.clear(slot);
-        self.stack_rand.remove(slot);
-        self.stack_orig.remove(slot);
-    }
-
-    /// Walks the translation tables for a DRC miss on the entry at
-    /// `entry_addr`, starting at cycle `now`: counts the walk cycles,
-    /// records a DrcWalk trace event when there are any, and returns
-    /// them so the caller can decide whether they stall the pipeline.
-    fn walk(&mut self, entry_addr: Addr, now: u64) -> u64 {
-        let walk = match self.cfg.drc_backing {
-            DrcBacking::SharedL2 => self.hier.table_walk(entry_addr, now),
-            DrcBacking::Dedicated { latency } => latency,
-        };
-        self.drc_walk += walk;
-        if walk > 0 {
-            trace_push(
-                &mut self.trace,
-                self.instructions,
-                self.cur_pc,
-                now,
-                TraceEventKind::DrcWalk { cycles: walk },
-            );
-        }
-        walk
-    }
-
-    /// De-randomizes a transfer target through the DRC; returns the walk
-    /// latency on a miss (0 on a hit). The *caller* decides whether that
-    /// latency lands on the critical path: when the orig-space predictors
-    /// were right, fetch already streams down the correct path and the
-    /// walk completes in its shadow; only a redirect must wait for it.
-    fn vcfr_derand(&mut self, target: Addr, rp: &RandomizedProgram, now: u64) -> u64 {
-        let table = self.epoch_table.as_ref().unwrap_or(&rp.table);
-        let rand = match &self.epoch_layout {
-            Some(m) => m.to_rand(OrigAddr(target)).map(|r| r.raw()).unwrap_or(target),
-            None => rp.rand_or_orig(target),
-        };
-        match self.drc.as_mut().expect("vcfr mode has a DRC").derandomize(RandAddr(rand), table) {
-            Ok(l) if !l.hit => self.walk(l.entry_addr, now),
-            _ => 0,
-        }
-    }
-
-    /// Swaps to a freshly re-randomized layout (§V-C): the pipeline
-    /// quiesces, the DRC is flushed, the in-memory tables are rebuilt at
-    /// the same base, and every live marked stack slot is rewritten to
-    /// hold its new randomized return address. The whole pause is charged
-    /// by advancing both clocks, so the cycle-accounting floor identity
-    /// (`cycles ≥ busy + load + rerand`) holds exactly.
-    fn rerand_swap(&mut self, rp: &RandomizedProgram) {
-        self.rerand_epochs += 1;
-        // Deterministic per epoch: seeded by the epoch ordinal alone.
-        let seed = 0x5eed_0000_0000_0000u64 ^ self.rerand_epochs;
-        let cur = self.epoch_layout.as_ref().unwrap_or(&rp.layout);
-        let fresh = rerandomize(cur, rp.region.0, rp.region.1, seed);
-        let mut table = TranslationTable::from_layout(&fresh, rp.table.base());
-        for a in rp.table.unrandomized_addrs() {
-            table.add_unrandomized(a);
-        }
-        // Hardware rewrites live randomized return addresses in place;
-        // slots holding fail-over (un-randomized) addresses keep them.
-        let remapped: Vec<(Addr, u32)> = self
-            .stack_orig
-            .iter()
-            .map(|(slot, orig)| {
-                (slot, fresh.to_rand(OrigAddr(orig)).map(|r| r.raw()).unwrap_or(orig))
-            })
-            .collect();
-        let slots = remapped.len() as u64;
-        for (slot, rand) in remapped {
-            self.stack_rand.insert(slot, rand);
-        }
-        if let Some(drc) = self.drc.as_mut() {
-            drc.flush();
-        }
-        let cost = RERAND_QUIESCE_CYCLES
-            + table.len() as u64 * RERAND_ENTRY_CYCLES
-            + slots * RERAND_SLOT_CYCLES;
+    /// Performs an epoch swap on the mediation layer (§V-C). The whole
+    /// pause is charged by advancing both clocks, so the cycle-accounting
+    /// floor identity (`cycles ≥ busy + load + rerand`) holds exactly.
+    fn rerand(&mut self) {
+        let Some(med) = &mut self.med else { return };
+        let cost = med.swap_epoch();
         let now = self.backend_time.max(self.fetch_time) + cost;
-        self.rerand_stall += cost;
         self.fetch_time = now;
         self.backend_time = now;
         self.redirect_at = self.redirect_at.max(now);
@@ -737,8 +552,6 @@ impl Engine {
             now,
             TraceEventKind::Rerand { cycles: cost },
         );
-        self.epoch_layout = Some(fresh);
-        self.epoch_table = Some(table);
     }
 
     /// Injects one scheduled fault, classifying its outcome against the
@@ -750,8 +563,6 @@ impl Engine {
     pub(crate) fn inject_fault(
         &mut self,
         f: &ScheduledFault,
-        image: &Image,
-        rp: Option<&RandomizedProgram>,
         policy: ContainmentPolicy,
     ) -> Result<FaultOutcome, SimError> {
         trace_push(
@@ -761,8 +572,9 @@ impl Engine {
             self.backend_time,
             TraceEventKind::FaultInjected { target: f.target },
         );
+        let image = self.mode.image_ref();
         let bit = 1u32 << (f.bit % 32);
-        let outcome = match (f.target, rp) {
+        let outcome = match (f.target, self.med.as_mut()) {
             // Baseline machine: the mediation hardware does not exist, so
             // flips aimed at it land in dead state; a corrupted PC is only
             // caught when it leaves the text segment.
@@ -780,24 +592,21 @@ impl Engine {
             // A flip in a valid DRC entry trips its parity on the next
             // probe and the entry scrubs (the refill is a natural miss, so
             // no extra charge); an invalid entry absorbs the flip.
-            (FaultTarget::DrcEntry, Some(_)) => match self.drc.as_mut() {
-                Some(drc) => {
-                    if drc.scrub_entry(f.lane as usize) {
-                        FaultOutcome::DetectedParityScrub
-                    } else {
-                        FaultOutcome::Masked
-                    }
+            (FaultTarget::DrcEntry, Some(med)) => {
+                if med.drc.scrub_entry(f.lane as usize) {
+                    FaultOutcome::DetectedParityScrub
+                } else {
+                    FaultOutcome::Masked
                 }
-                None => FaultOutcome::Masked,
-            },
+            }
             // Table slots are parity-protected too. A transient flip
             // scrubs and the slot rewrites from the layout; a sticky one
             // keeps re-asserting and must be contained.
-            (FaultTarget::TableSlot, Some(rp)) => match f.persistence {
+            (FaultTarget::TableSlot, Some(_)) => match f.persistence {
                 FaultPersistence::Transient => FaultOutcome::DetectedParityScrub,
                 FaultPersistence::Sticky => match policy {
                     ContainmentPolicy::Recover => {
-                        self.rerand_swap(rp);
+                        self.rerand();
                         self.fstats.emergency_rerands += 1;
                         FaultOutcome::Contained
                     }
@@ -815,15 +624,8 @@ impl Engine {
             // prohibited/unmapped check that stops an attacker. Classify
             // through the pure table walk so the DRC state and stats of
             // the golden run are untouched.
-            (FaultTarget::Rpc, Some(rp)) => {
-                let rand = match &self.epoch_layout {
-                    Some(m) => {
-                        m.to_rand(OrigAddr(self.cur_pc)).map(|r| r.raw()).unwrap_or(self.cur_pc)
-                    }
-                    None => rp.rand_or_orig(self.cur_pc),
-                };
-                let table = self.epoch_table.as_ref().unwrap_or(&rp.table);
-                match table.derand(RandAddr(rand ^ bit)) {
+            (FaultTarget::Rpc, Some(med)) => {
+                match med.table().derand(RandAddr(med.rand_of(self.cur_pc) ^ bit)) {
                     Err(_) => FaultOutcome::DetectedTranslationFault,
                     Ok(o) if o.raw() == self.cur_pc => FaultOutcome::Masked,
                     Ok(_) => FaultOutcome::Silent,
@@ -847,8 +649,8 @@ impl Engine {
             // plain value or returns a raw randomized address — both fail
             // de-randomization when any slot is live; an idle bitmap
             // absorbs the flip.
-            (FaultTarget::StackBitmap, Some(_)) => {
-                if self.bitmap.marked_count() > 0 {
+            (FaultTarget::StackBitmap, Some(med)) => {
+                if med.bitmap.marked_count() > 0 {
                     FaultOutcome::DetectedTranslationFault
                 } else {
                     FaultOutcome::Masked
@@ -875,128 +677,6 @@ impl Engine {
         Ok(outcome)
     }
 
-    fn control(
-        &mut self,
-        info: &StepInfo,
-        cf: ControlFlow,
-        key: &impl Fn(Addr) -> Addr,
-        vcfr: Option<&RandomizedProgram>,
-        fetch_done: u64,
-        exec_end: u64,
-    ) {
-        let cfg = self.cfg;
-        let kpc = key(info.pc);
-        match cf {
-            ControlFlow::Branch { taken, target } => {
-                self.bstats.predictions += 1;
-                let predicted = self.gshare.predict(kpc);
-                self.gshare.update(kpc, taken);
-                if predicted != taken {
-                    self.bstats.mispredictions += 1;
-                    // A mispredicted *taken* branch redirects to a
-                    // randomized target: the redirect waits for the DRC.
-                    let walk = match (taken, vcfr) {
-                        (true, Some(rp)) => self.vcfr_derand(target, rp, exec_end),
-                        _ => 0,
-                    };
-                    self.redirect(exec_end + cfg.mispredict_penalty + walk);
-                } else if taken {
-                    self.taken_target_lookup(kpc, key(target), target, vcfr, fetch_done, exec_end);
-                }
-            }
-            ControlFlow::Jump { target } => {
-                self.taken_target_lookup(kpc, key(target), target, vcfr, fetch_done, exec_end);
-            }
-            ControlFlow::Call { target, ret_addr } => {
-                self.taken_target_lookup(kpc, key(target), target, vcfr, fetch_done, exec_end);
-                self.ras.push(key(ret_addr));
-            }
-            ControlFlow::IndirectCall { target, ret_addr } => {
-                self.indirect_target_lookup(kpc, key(target), target, vcfr, exec_end);
-                self.ras.push(key(ret_addr));
-            }
-            ControlFlow::IndirectJump { target } => {
-                self.indirect_target_lookup(kpc, key(target), target, vcfr, exec_end);
-            }
-            ControlFlow::Return { target } => {
-                self.bstats.ras_predictions += 1;
-                // The popped randomized return address always consults the
-                // DRC to recover the orig-space fetch address; a correct
-                // RAS prediction hides the walk.
-                let walk = match vcfr {
-                    Some(rp) => self.vcfr_derand(target, rp, exec_end),
-                    None => 0,
-                };
-                match self.ras.pop() {
-                    Some(p) if p == key(target) => {}
-                    _ => {
-                        self.bstats.ras_mispredictions += 1;
-                        self.redirect(exec_end + cfg.mispredict_penalty + walk);
-                    }
-                }
-            }
-        }
-    }
-
-    fn taken_target_lookup(
-        &mut self,
-        kpc: Addr,
-        ktarget: Addr,
-        target: Addr,
-        vcfr: Option<&RandomizedProgram>,
-        fetch_done: u64,
-        exec_end: u64,
-    ) {
-        self.bstats.btb_lookups += 1;
-        match self.btb.lookup(kpc) {
-            Some(t) if t == ktarget => {}
-            found => {
-                if found.is_none() {
-                    self.bstats.btb_misses += 1;
-                } else {
-                    self.bstats.btb_wrong_target += 1;
-                }
-                // In VCFR mode a BTB miss means the cached translation is
-                // absent too: the redirect additionally waits for the DRC.
-                let walk = match vcfr {
-                    Some(rp) => self.vcfr_derand(target, rp, exec_end),
-                    None => 0,
-                };
-                self.redirect(fetch_done + self.cfg.btb_miss_penalty + walk);
-                self.btb.update(kpc, ktarget);
-            }
-        }
-    }
-
-    fn indirect_target_lookup(
-        &mut self,
-        kpc: Addr,
-        ktarget: Addr,
-        target: Addr,
-        vcfr: Option<&RandomizedProgram>,
-        exec_end: u64,
-    ) {
-        self.bstats.btb_lookups += 1;
-        // Indirect targets live in the randomized space; every resolution
-        // consults the DRC (hidden when the BTB was right).
-        let walk = match vcfr {
-            Some(rp) => self.vcfr_derand(target, rp, exec_end),
-            None => 0,
-        };
-        match self.btb.lookup(kpc) {
-            Some(t) if t == ktarget => {}
-            found => {
-                if found.is_none() {
-                    self.bstats.btb_misses += 1;
-                } else {
-                    self.bstats.btb_wrong_target += 1;
-                }
-                self.redirect(exec_end + self.cfg.mispredict_penalty + walk);
-                self.btb.update(kpc, ktarget);
-            }
-        }
-    }
-
     pub(crate) fn stats_now(&self) -> SimStats {
         SimStats {
             instructions: self.instructions,
@@ -1007,37 +687,27 @@ impl Engine {
             itlb: self.hier.itlb.stats(),
             dtlb: self.hier.dtlb.stats(),
             dram: self.hier.dram.stats(),
-            branch: self.bstats,
-            drc: self.drc.as_ref().map(|d| d.stats()),
+            branch: self.pred.stats,
+            drc: self.med.as_ref().map(|m| m.drc.stats()),
             drc_walk_cycles: self.drc_walk,
             fetch_stall_cycles: self.fetch_stall,
             load_stall_cycles: self.load_stall,
             redirect_stall_cycles: self.redirect_stall,
             l2_reads_from_l1: self.hier.l2_reads_from_l1,
             exec_extra_cycles: self.exec_extra,
-            rerand_epochs: self.rerand_epochs,
-            rerand_stall_cycles: self.rerand_stall,
+            rerand_epochs: self.med.as_ref().map_or(0, |m| m.rerand_epochs),
+            rerand_stall_cycles: self.med.as_ref().map_or(0, |m| m.rerand_stall),
             contention_stall_cycles: self.hier.contention_cycles,
         }
     }
 
     /// Serialises the entire engine state in field-declaration order
-    /// (checkpoint support). The configuration itself is *not* written:
-    /// the checkpoint envelope's context fingerprint pins it, and
-    /// [`Engine::restore`] rebuilds from the same `cfg`.
+    /// (checkpoint support). The configuration and mode are *not*
+    /// written: the checkpoint envelope's context fingerprint pins them,
+    /// and [`Engine::restore`] rebuilds from the same ones.
     pub(crate) fn save(&self, w: &mut Writer) {
         self.hier.save(w);
-        self.gshare.save(w);
-        self.btb.save(w);
-        self.ras.save(w);
-        let b = &self.bstats;
-        w.u64(b.predictions);
-        w.u64(b.mispredictions);
-        w.u64(b.btb_lookups);
-        w.u64(b.btb_misses);
-        w.u64(b.btb_wrong_target);
-        w.u64(b.ras_predictions);
-        w.u64(b.ras_mispredictions);
+        self.pred.save(w);
         w.u64(self.fetch_time);
         w.u64(self.backend_time);
         w.u64(self.redirect_at);
@@ -1052,32 +722,7 @@ impl Engine {
         for &t in &self.iq {
             w.u64(t);
         }
-        match &self.drc {
-            Some(d) => {
-                w.u8(1);
-                d.save(w);
-            }
-            None => w.u8(0),
-        }
-        self.bitmap.save(w);
-        self.stack_rand.save(w);
-        self.stack_orig.save(w);
-        match &self.epoch_layout {
-            Some(m) => {
-                w.u8(1);
-                m.save(w);
-            }
-            None => w.u8(0),
-        }
-        match &self.epoch_table {
-            Some(t) => {
-                w.u8(1);
-                t.save(w);
-            }
-            None => w.u8(0),
-        }
-        w.u64(self.rerand_epochs);
-        w.u64(self.rerand_stall);
+        Mediation::save(self.med.as_ref(), w);
         save_fault_stats(&self.fstats, w);
         w.u64(self.frecords.len() as u64);
         for rec in &self.frecords {
@@ -1101,27 +746,16 @@ impl Engine {
         w.u32(self.cur_pc);
     }
 
-    /// Rebuilds an engine from [`Engine::save`] output. `cfg` and `drc`
+    /// Rebuilds an engine from [`Engine::save`] output. `cfg` and `mode`
     /// must match the configuration the saved engine ran under (the
     /// checkpoint envelope enforces this before the bytes get here).
     pub(crate) fn restore(
         cfg: &SimConfig,
-        drc: Option<DrcConfig>,
+        mode: Mode<'a>,
         r: &mut Reader<'_>,
-    ) -> Result<Engine, WireError> {
+    ) -> Result<Engine<'a>, WireError> {
         let hier = MemoryHierarchy::restore(cfg, r)?;
-        let gshare = Gshare::restore(cfg.gshare, r)?;
-        let btb = Btb::restore(cfg.btb, r)?;
-        let ras = Ras::restore(r)?;
-        let bstats = BranchStats {
-            predictions: r.u64()?,
-            mispredictions: r.u64()?,
-            btb_lookups: r.u64()?,
-            btb_misses: r.u64()?,
-            btb_wrong_target: r.u64()?,
-            ras_predictions: r.u64()?,
-            ras_mispredictions: r.u64()?,
-        };
+        let pred = Predictors::restore(cfg, r)?;
         let fetch_time = r.u64()?;
         let backend_time = r.u64()?;
         let redirect_at = r.u64()?;
@@ -1138,26 +772,7 @@ impl Engine {
         for _ in 0..n_iq {
             iq.push_back(r.u64()?);
         }
-        let drc = match (r.u8()?, drc) {
-            (0, None) => None,
-            (1, Some(cfg)) => Some(Drc::restore(cfg, r)?),
-            (tag, _) => return Err(WireError::BadTag { tag }),
-        };
-        let bitmap = StackBitmap::restore(r)?;
-        let stack_rand = FlatMap::restore(r)?;
-        let stack_orig = FlatMap::restore(r)?;
-        let epoch_layout = match r.u8()? {
-            0 => None,
-            1 => Some(LayoutMap::restore(r)?),
-            tag => return Err(WireError::BadTag { tag }),
-        };
-        let epoch_table = match r.u8()? {
-            0 => None,
-            1 => Some(TranslationTable::restore(r)?),
-            tag => return Err(WireError::BadTag { tag }),
-        };
-        let rerand_epochs = r.u64()?;
-        let rerand_stall = r.u64()?;
+        let med = Mediation::restore(&mode, cfg, r)?;
         let fstats = load_fault_stats(r)?;
         let n_rec = r.u64()?;
         if n_rec > 1 << 32 {
@@ -1191,24 +806,15 @@ impl Engine {
         let cur_pc = r.u32()?;
         Ok(Engine {
             cfg: *cfg,
+            mode,
             hier,
-            gshare,
-            btb,
-            ras,
-            bstats,
+            pred,
             fetch_time,
             backend_time,
             redirect_at,
             window_line,
             iq,
-            drc,
-            bitmap,
-            stack_rand,
-            stack_orig,
-            epoch_layout,
-            epoch_table,
-            rerand_epochs,
-            rerand_stall,
+            med,
             fstats,
             frecords,
             fetch_stall,
@@ -1516,7 +1122,8 @@ mod tests {
         // already reached costs the front end nothing, but still moves
         // the resume point so later fetches cannot start earlier.
         let cfg = SimConfig::default();
-        let mut e = Engine::new(&cfg, None);
+        let img = workload();
+        let mut e = Engine::new(&cfg, Mode::Baseline(&img));
         e.fetch_time = 100;
 
         // Exactly on fetch_time: zero stall, redirect point recorded.
@@ -1588,35 +1195,30 @@ mod tests {
             ("naive", Mode::NaiveIlr(&rp)),
             ("vcfr", Mode::Vcfr { program: &rp, drc }),
         ] {
-            let (vcfr, drc, scattered) = match mode {
-                Mode::Baseline(_) => (None, None, false),
-                Mode::NaiveIlr(_) => (None, None, true),
-                Mode::Vcfr { program, drc } => (Some(program), Some(drc), false),
-            };
-            let fetch = |a: Addr| if scattered { rp.rand_or_orig(a) } else { a };
-            let mut stepped = Engine::new(&cfg, drc);
-            let mut batched = Engine::new(&cfg, drc);
+            let mut stepped = Engine::new(&cfg, mode);
+            let mut batched = Engine::new(&cfg, mode);
             let mut m = Machine::new(mode.image_ref());
             let (mut batch, mut accesses) = (Vec::new(), Vec::new());
             let mut replayed = 0;
             while let Some(info) = m.step().unwrap() {
-                stepped.step(&info, fetch(info.pc), &fetch, vcfr);
+                stepped.step(&info);
                 if vcfr_isa::superblock_eligible(&info.inst) {
                     let s = vcfr_isa::SbInst { pc: info.pc, inst: info.inst, len: info.len };
-                    batch.push(ReplayInst::new(&s, fetch(info.pc)));
+                    batch.push(ReplayInst::new(&s, mode.fetch_addr(info.pc)));
                     accesses.extend(info.mem_accesses());
                     continue;
                 }
                 replayed += batch.len();
-                batched.replay_block(&batch, &accesses, vcfr);
+                batched.replay_block(&batch, &accesses);
                 batch.clear();
                 accesses.clear();
-                batched.step(&info, fetch(info.pc), &fetch, vcfr);
+                batched.step(&info);
             }
             assert!(batch.is_empty(), "{name}: the run ends on halt");
             assert!(replayed > 1000, "{name}: {replayed} replayed instructions");
-            if scattered {
-                assert_ne!(fetch(0x1000 + 10), 0x1000 + 10, "naive fetches are scattered");
+            if let Mode::NaiveIlr(_) = mode {
+                let pc = 0x1000 + 10;
+                assert_ne!(mode.fetch_addr(pc), pc, "naive fetches are scattered");
             }
 
             let mut wa = Writer::with_magic(*b"VCFRTEST");
@@ -1626,13 +1228,13 @@ mod tests {
             assert_eq!(wa.into_bytes(), wb.into_bytes(), "{name}");
             assert_eq!(batched.instructions, stepped.instructions, "{name}");
             assert_eq!(batched.cur_pc, stepped.cur_pc, "{name}");
-            if let Some(d) = &batched.drc {
+            if let Some(d) = batched.stats_now().drc {
                 // Per call: randomize the return address, de-randomize
                 // the target and the return, and de-randomize the first
                 // (replayed) load of the marked slot — the store then
                 // clears the mark, so the later loads cost nothing.
-                assert_eq!(d.stats().rand_lookups, 12, "{name}");
-                assert_eq!(d.stats().derand_lookups, 12 * 3, "{name}");
+                assert_eq!(d.rand_lookups, 12, "{name}");
+                assert_eq!(d.derand_lookups, 12 * 3, "{name}");
             }
         }
     }

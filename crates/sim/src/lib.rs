@@ -50,6 +50,7 @@ mod error;
 mod faults;
 mod flatmap;
 mod hierarchy;
+mod mediation;
 mod multicore;
 mod ooo;
 mod predict;
@@ -76,8 +77,8 @@ pub use faults::{
 };
 pub use flatmap::FlatMap;
 pub use hierarchy::MemoryHierarchy;
-pub use multicore::{simulate_multicore, MultiCoreOutput};
-pub use ooo::{simulate_ooo, OooConfig};
+pub use multicore::MultiCoreOutput;
+pub use ooo::OooConfig;
 pub use predict::{BranchStats, Btb, Gshare, Ras};
 pub use session::{ProgressSink, Session, SessionOutcome, SessionStatus};
 pub use stats::SimStats;

@@ -64,9 +64,8 @@ pub(crate) struct SharedLevel {
 /// N in-order cores over a shared L2/DRAM, stepped one instruction at a
 /// time by the deterministic event loop ([`MultiCore::step_next`]).
 pub(crate) struct MultiCore<'a> {
-    modes: Vec<Mode<'a>>,
     machines: Vec<Machine>,
-    engines: Vec<Engine>,
+    engines: Vec<Engine<'a>>,
     done: Vec<bool>,
     shared: SharedLevel,
     max_insts: u64,
@@ -79,26 +78,12 @@ impl<'a> MultiCore<'a> {
             .iter()
             .enumerate()
             .map(|(i, m)| {
-                let drc = match m {
-                    Mode::Vcfr { drc, .. } => Some(*drc),
-                    _ => None,
-                };
-                let mut e = Engine::new(cfg, drc);
+                let mut e = Engine::new(cfg, *m);
                 e.hier.core_id = i as u8;
-                // Hide the translation-table pages from user space (TLB
-                // page-visibility bit), as Session does for the
-                // single-core engines.
-                if let Mode::Vcfr { program, .. } = m {
-                    let base = program.table.base();
-                    for page in 0..64u32 {
-                        e.hier.dtlb.set_invisible(base + page * 4096);
-                    }
-                }
                 e
             })
             .collect();
         MultiCore {
-            modes: modes.to_vec(),
             machines,
             engines,
             done: vec![false; modes.len()],
@@ -129,14 +114,7 @@ impl<'a> MultiCore<'a> {
             }
             Err(e) => return Err(self.engines[i].fault(e)),
         };
-        let engine = &mut self.engines[i];
-        match &self.modes[i] {
-            Mode::Baseline(_) => engine.step(&info, info.pc, &|a| a, None),
-            Mode::NaiveIlr(rp) => {
-                engine.step(&info, rp.rand_or_orig(info.pc), &|a| rp.rand_or_orig(a), None);
-            }
-            Mode::Vcfr { program, .. } => engine.step(&info, info.pc, &|a| a, Some(program)),
-        }
+        self.engines[i].step(&info);
         Ok(())
     }
 
@@ -235,11 +213,7 @@ impl<'a> MultiCore<'a> {
         let mut done = Vec::with_capacity(modes.len());
         for m in modes {
             machines.push(Machine::restore(m.image_ref(), r)?);
-            let drc = match m {
-                Mode::Vcfr { drc, .. } => Some(*drc),
-                _ => None,
-            };
-            engines.push(Engine::restore(cfg, drc, r)?);
+            engines.push(Engine::restore(cfg, *m, r)?);
             done.push(match r.u8()? {
                 0 => false,
                 1 => true,
@@ -251,7 +225,7 @@ impl<'a> MultiCore<'a> {
             dram: Dram::restore(cfg.dram, r)?,
             port: SharedPort::restore(r)?,
         };
-        Ok(MultiCore { modes: modes.to_vec(), machines, engines, done, shared, max_insts })
+        Ok(MultiCore { machines, engines, done, shared, max_insts })
     }
 }
 
@@ -316,32 +290,27 @@ fn add_tlb(a: &mut crate::tlb::TlbStats, b: &crate::tlb::TlbStats) {
     a.visibility_faults += b.visibility_faults;
 }
 
-/// Runs several programs concurrently on private in-order cores over a
-/// shared L2 + DRAM, up to `max_insts` instructions per core.
-///
-/// # Errors
-///
-/// Returns [`SimError::Exec`] if any core's program faults.
-///
-/// # Example
-///
-/// See the `multicore` module tests.
-pub fn simulate_multicore(
-    modes: &[Mode<'_>],
-    cfg: &SimConfig,
-    max_insts: u64,
-) -> Result<MultiCoreOutput, SimError> {
-    let mut mc = MultiCore::new(modes, cfg, max_insts);
-    while mc.step_next()? {}
-    Ok(mc.output())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EngineKind;
     use crate::engine::simulate;
+    use crate::{Session, VcfrError};
     use vcfr_core::DrcConfig;
     use vcfr_rewriter::{randomize, RandomizeConfig};
+
+    /// Runs one core per mode over the shared L2, up to `max_insts`
+    /// instructions per core.
+    fn simulate_cores(
+        modes: &[Mode<'_>],
+        cfg: &SimConfig,
+        max_insts: u64,
+    ) -> Result<MultiCoreOutput, VcfrError> {
+        let engine = EngineKind::Multicore { cores: modes.len() as u32 };
+        let cfg = SimConfig { engine, ..*cfg };
+        let out = Session::new_heterogeneous(modes, &cfg, max_insts)?.run()?;
+        Ok(out.multicore.expect("multicore sessions report per-core results"))
+    }
 
     fn program() -> vcfr_isa::Image {
         vcfr_workloads_stub()
@@ -394,7 +363,7 @@ mod tests {
     fn two_baseline_cores_both_finish_correctly() {
         let img = program();
         let cfg = SimConfig::default();
-        let out = simulate_multicore(
+        let out = simulate_cores(
             &[Mode::Baseline(&img), Mode::Baseline(&img)],
             &cfg,
             1_000_000,
@@ -416,13 +385,13 @@ mod tests {
         let cfg = SimConfig::default();
         let rp1 = randomize(&img, &RandomizeConfig::with_seed(1)).unwrap();
         let rp2 = randomize(&img, &RandomizeConfig::with_seed(2)).unwrap();
-        let solo = simulate_multicore(
+        let solo = simulate_cores(
             &[Mode::Baseline(&img), Mode::Baseline(&img)],
             &cfg,
             500_000,
         )
         .unwrap();
-        let vcfr = simulate_multicore(
+        let vcfr = simulate_cores(
             &[
                 Mode::Vcfr { program: &rp1, drc: DrcConfig::direct_mapped(128) },
                 Mode::Vcfr { program: &rp2, drc: DrcConfig::direct_mapped(128) },
@@ -447,7 +416,7 @@ mod tests {
         let img = program();
         let cfg = SimConfig::default();
         let rp = randomize(&img, &RandomizeConfig::with_seed(3)).unwrap();
-        let out = simulate_multicore(
+        let out = simulate_cores(
             &[Mode::Baseline(&img), Mode::NaiveIlr(&rp)],
             &cfg,
             200_000,
@@ -474,7 +443,7 @@ mod tests {
             Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) },
         ] {
             let solo = simulate(mode, &cfg, 100_000).unwrap();
-            let multi = simulate_multicore(&[mode], &cfg, 100_000).unwrap();
+            let multi = simulate_cores(&[mode], &cfg, 100_000).unwrap();
             assert_eq!(multi.stats, solo.stats, "one-core aggregate diverged");
             assert_eq!(multi.cycles, solo.stats.cycles);
             assert_eq!(multi.outcomes[0].output, solo.outcome.output);
@@ -488,7 +457,7 @@ mod tests {
     fn sibling_cores_pay_contention_at_the_shared_port() {
         let img = memory_workload();
         let cfg = SimConfig::default();
-        let duo = simulate_multicore(
+        let duo = simulate_cores(
             &[Mode::Baseline(&img), Mode::Baseline(&img)],
             &cfg,
             200_000,
@@ -510,7 +479,7 @@ mod tests {
             duo.stats
         );
         // A lone core on the same workload never waits for itself.
-        let solo = simulate_multicore(&[Mode::Baseline(&img)], &cfg, 200_000).unwrap();
+        let solo = simulate_cores(&[Mode::Baseline(&img)], &cfg, 200_000).unwrap();
         assert_eq!(solo.stats.contention_stall_cycles, 0);
     }
 
@@ -522,7 +491,7 @@ mod tests {
     fn multicore_cores_track_redirect_stall_without_underflow() {
         let img = program();
         let cfg = SimConfig::default();
-        let out = simulate_multicore(
+        let out = simulate_cores(
             &[Mode::Baseline(&img), Mode::Baseline(&img)],
             &cfg,
             200_000,
@@ -553,7 +522,7 @@ mod tests {
             .build()
             .unwrap();
         let rp = randomize(&img, &RandomizeConfig::with_seed(5)).unwrap();
-        let out = simulate_multicore(
+        let out = simulate_cores(
             &[
                 Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) },
                 Mode::Baseline(&img),

@@ -1,10 +1,14 @@
 //! Branch prediction: 2-level gshare direction predictor, set-associative
 //! branch target buffer, and a return address stack — the §VI-C predictor
-//! complement.
+//! complement — plus [`Predictors`], the one control resolver every
+//! engine's front end shares.
 
-use crate::config::{BtbConfig, GshareConfig};
+use crate::config::{BtbConfig, GshareConfig, SimConfig};
+use crate::engine::Mode;
+use crate::hierarchy::MemoryHierarchy;
+use crate::mediation::Mediation;
 use vcfr_isa::wire::{Reader, WireError, Writer};
-use vcfr_isa::Addr;
+use vcfr_isa::{Addr, ControlFlow};
 
 /// Direction-predictor counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -275,6 +279,181 @@ impl Ras {
         ras.top = top as usize;
         ras.depth = depth as usize;
         Ok(ras)
+    }
+}
+
+/// The front end's predictors and their counters, with the one step
+/// that resolves a control transfer against them.
+pub(crate) struct Predictors {
+    gshare: Gshare,
+    btb: Btb,
+    ras: Ras,
+    pub(crate) stats: BranchStats,
+    mispredict_penalty: u64,
+    btb_miss_penalty: u64,
+}
+
+/// What resolving one control transfer cost the front end.
+pub(crate) struct Resolution {
+    /// Cycles of the DRC table walk the target's de-randomization took
+    /// (0 on a DRC hit or outside VCFR).
+    pub(crate) walk: u64,
+    /// The cycle fetch resumes at, when the transfer redirected it.
+    pub(crate) redirect: Option<u64>,
+}
+
+impl Predictors {
+    pub(crate) fn new(cfg: &SimConfig) -> Predictors {
+        Predictors {
+            gshare: Gshare::new(cfg.gshare),
+            btb: Btb::new(cfg.btb),
+            ras: Ras::new(cfg.ras_entries),
+            stats: BranchStats::default(),
+            mispredict_penalty: cfg.mispredict_penalty,
+            btb_miss_penalty: cfg.btb_miss_penalty,
+        }
+    }
+
+    /// Resolves the transfer `cf` of the instruction at `pc`, fetched by
+    /// `fetch_done` and executed by `exec_end`. The predictors work in
+    /// `mode`'s fetch space. In VCFR mode the target is de-randomized
+    /// through `med` whenever the hardware consults the DRC, and its walk
+    /// latency lands on the critical path only when the transfer
+    /// redirects (§IV-B): when the predictors were right, fetch already
+    /// streams down the correct path and the walk completes in its
+    /// shadow.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn resolve(
+        &mut self,
+        pc: Addr,
+        cf: ControlFlow,
+        mode: &Mode<'_>,
+        mut med: Option<&mut Mediation<'_>>,
+        hier: &mut MemoryHierarchy,
+        fetch_done: u64,
+        exec_end: u64,
+    ) -> Resolution {
+        let key = |a: Addr| mode.fetch_addr(a);
+        let mut derand = |target: Addr| match med.as_deref_mut() {
+            Some(m) => m.derandomize_target(target, hier, exec_end),
+            None => 0,
+        };
+        let kpc = key(pc);
+        let mispredict = exec_end + self.mispredict_penalty;
+        let (walk, redirect) = match cf {
+            ControlFlow::Branch { taken, target } => {
+                self.stats.predictions += 1;
+                let predicted = self.gshare.predict(kpc);
+                self.gshare.update(kpc, taken);
+                if predicted != taken {
+                    self.stats.mispredictions += 1;
+                    // A mispredicted *taken* branch redirects to a
+                    // randomized target: the redirect waits for the DRC.
+                    let walk = if taken { derand(target) } else { 0 };
+                    (walk, Some(mispredict + walk))
+                } else if taken && !self.btb_hit(kpc, key(target)) {
+                    let walk = derand(target);
+                    (walk, Some(fetch_done + self.btb_miss_penalty + walk))
+                } else {
+                    (0, None)
+                }
+            }
+            // A direct transfer the BTB did not know redirects once it
+            // decodes; in VCFR mode the cached translation is absent too,
+            // so the redirect also waits for the DRC.
+            ControlFlow::Jump { target } | ControlFlow::Call { target, .. } => {
+                if self.btb_hit(kpc, key(target)) {
+                    (0, None)
+                } else {
+                    let walk = derand(target);
+                    (walk, Some(fetch_done + self.btb_miss_penalty + walk))
+                }
+            }
+            // Indirect targets live in the randomized space: every
+            // resolution consults the DRC, hidden when the BTB was right.
+            ControlFlow::IndirectJump { target } | ControlFlow::IndirectCall { target, .. } => {
+                let walk = derand(target);
+                (walk, (!self.btb_hit(kpc, key(target))).then_some(mispredict + walk))
+            }
+            // The popped randomized return address always consults the
+            // DRC to recover the orig-space fetch address; a correct RAS
+            // prediction hides the walk.
+            ControlFlow::Return { target } => {
+                self.stats.ras_predictions += 1;
+                let walk = derand(target);
+                if self.ras.pop() == Some(key(target)) {
+                    (walk, None)
+                } else {
+                    self.stats.ras_mispredictions += 1;
+                    (walk, Some(mispredict + walk))
+                }
+            }
+        };
+        if let ControlFlow::Call { ret_addr, .. } | ControlFlow::IndirectCall { ret_addr, .. } = cf
+        {
+            self.ras.push(key(ret_addr));
+        }
+        Resolution { walk, redirect }
+    }
+
+    /// Looks up the taken transfer at `kpc` in the BTB. On a miss or a
+    /// stale target, counts it and installs `ktarget`. Returns whether
+    /// the BTB predicted `ktarget`.
+    fn btb_hit(&mut self, kpc: Addr, ktarget: Addr) -> bool {
+        self.stats.btb_lookups += 1;
+        match self.btb.lookup(kpc) {
+            Some(t) if t == ktarget => true,
+            found => {
+                if found.is_none() {
+                    self.stats.btb_misses += 1;
+                } else {
+                    self.stats.btb_wrong_target += 1;
+                }
+                self.btb.update(kpc, ktarget);
+                false
+            }
+        }
+    }
+
+    /// Serialises the predictors and their counters (checkpoint
+    /// support).
+    pub(crate) fn save(&self, w: &mut Writer) {
+        self.gshare.save(w);
+        self.btb.save(w);
+        self.ras.save(w);
+        let b = &self.stats;
+        for v in [
+            b.predictions,
+            b.mispredictions,
+            b.btb_lookups,
+            b.btb_misses,
+            b.btb_wrong_target,
+            b.ras_predictions,
+            b.ras_mispredictions,
+        ] {
+            w.u64(v);
+        }
+    }
+
+    /// Rebuilds the predictors from [`Predictors::save`] output under the
+    /// configuration they were saved with.
+    pub(crate) fn restore(cfg: &SimConfig, r: &mut Reader<'_>) -> Result<Predictors, WireError> {
+        Ok(Predictors {
+            gshare: Gshare::restore(cfg.gshare, r)?,
+            btb: Btb::restore(cfg.btb, r)?,
+            ras: Ras::restore(r)?,
+            stats: BranchStats {
+                predictions: r.u64()?,
+                mispredictions: r.u64()?,
+                btb_lookups: r.u64()?,
+                btb_misses: r.u64()?,
+                btb_wrong_target: r.u64()?,
+                ras_predictions: r.u64()?,
+                ras_mispredictions: r.u64()?,
+            },
+            mispredict_penalty: cfg.mispredict_penalty,
+            btb_miss_penalty: cfg.btb_miss_penalty,
+        })
     }
 }
 

@@ -30,11 +30,10 @@ use crate::ooo::{OooConfig, OooEngine};
 use crate::stats::SimStats;
 use vcfr_isa::wire::{Reader, WireError};
 use vcfr_isa::{
-    Addr, Machine, MemAccess, RunOutcome, SectionKind, StopReason, SuperblockCache,
+    Machine, MemAccess, RunOutcome, SectionKind, StopReason, SuperblockCache,
     SuperblockLookup, SUPERBLOCK_MAX_INSTS,
 };
 use vcfr_obs::ProgressEvent;
-use vcfr_rewriter::RandomizedProgram;
 
 /// Room [`Session::checkpoint`] reserves per engine for its saved state
 /// beyond the machine: caches, predictors, DRC, trace ring, counters.
@@ -79,9 +78,9 @@ pub enum SessionStatus {
 /// the run, together with its functional machine(s).
 enum Backend<'a> {
     /// The paper's single-issue in-order core.
-    InOrder { machine: Machine, engine: Engine },
+    InOrder { machine: Machine, engine: Engine<'a> },
     /// The wide out-of-order core.
-    Ooo { machine: Machine, engine: OooEngine },
+    Ooo { machine: Machine, engine: OooEngine<'a> },
     /// N in-order cores over a shared L2/DRAM.
     Multicore(MultiCore<'a>),
 }
@@ -222,35 +221,12 @@ impl<'a> Session<'a> {
         }
         Session::validate(std::slice::from_ref(&mode), cfg)?;
         let machine = Machine::new(mode.image_ref());
-        let drc_cfg = match &mode {
-            Mode::Vcfr { drc, .. } => Some(*drc),
-            _ => None,
-        };
-        let table_base = match &mode {
-            Mode::Vcfr { program, .. } => Some(program.table.base()),
-            _ => None,
-        };
         let backend = match cfg.engine {
-            EngineKind::InOrder => {
-                let mut engine = Engine::new(cfg, drc_cfg);
-                // Hide the translation-table pages from user space (TLB
-                // page-visibility bit).
-                if let Some(base) = table_base {
-                    for page in 0..64u32 {
-                        engine.hier.dtlb.set_invisible(base + page * 4096);
-                    }
-                }
-                Backend::InOrder { machine, engine }
-            }
-            EngineKind::Ooo => {
-                let mut engine = OooEngine::new(cfg, OooConfig::default(), drc_cfg);
-                if let Some(base) = table_base {
-                    for page in 0..64u32 {
-                        engine.hier.dtlb.set_invisible(base + page * 4096);
-                    }
-                }
-                Backend::Ooo { machine, engine }
-            }
+            EngineKind::InOrder => Backend::InOrder { machine, engine: Engine::new(cfg, mode) },
+            EngineKind::Ooo => Backend::Ooo {
+                machine,
+                engine: OooEngine::new(cfg, OooConfig::default(), mode),
+            },
             EngineKind::Multicore { .. } => unreachable!("routed to new_heterogeneous above"),
         };
         Ok(Session::assemble(mode, vec![mode], cfg, max_insts, backend))
@@ -549,7 +525,6 @@ impl<'a> Session<'a> {
     /// Advances the run by one instruction on whichever engine backs it.
     /// Returns the architectural outcome when the run just finished.
     fn step_once(&mut self) -> Result<Option<RunOutcome>, VcfrError> {
-        let identity = |a: Addr| a;
         match &mut self.backend {
             Backend::InOrder { machine, engine } => {
                 let step = machine.step();
@@ -560,16 +535,7 @@ impl<'a> Session<'a> {
                         stop: machine.stop_reason().expect("stopped machine has a reason"),
                     }));
                 };
-                match &self.mode {
-                    Mode::Baseline(_) => engine.step(&info, info.pc, &identity, None),
-                    Mode::NaiveIlr(rp) => {
-                        let key = |a: Addr| rp.rand_or_orig(a);
-                        engine.step(&info, rp.rand_or_orig(info.pc), &key, None);
-                    }
-                    Mode::Vcfr { program, .. } => {
-                        engine.step(&info, info.pc, &identity, Some(program));
-                    }
-                }
+                engine.step(&info);
                 Ok(None)
             }
             Backend::Ooo { machine, engine } => {
@@ -581,17 +547,7 @@ impl<'a> Session<'a> {
                         stop: machine.stop_reason().expect("stopped machine has a reason"),
                     }));
                 };
-                let stepped = match &self.mode {
-                    Mode::Baseline(_) => engine.step(&info, info.pc, &identity, None),
-                    Mode::NaiveIlr(rp) => {
-                        let key = |a: Addr| rp.rand_or_orig(a);
-                        engine.step(&info, rp.rand_or_orig(info.pc), &key, None)
-                    }
-                    Mode::Vcfr { program, .. } => {
-                        engine.step(&info, info.pc, &identity, Some(program))
-                    }
-                };
-                stepped.map_err(VcfrError::Sim)?;
+                engine.step(&info);
                 Ok(None)
             }
             Backend::Multicore(mc) => {
@@ -636,14 +592,9 @@ impl<'a> Session<'a> {
                 let formed = machine.form_superblock(pc, SUPERBLOCK_MAX_INSTS);
                 match self.sb_cache.record(pc, formed) {
                     Some(id) => {
-                        // Naive ILR fetches every instruction from its
-                        // scattered address; the other modes fetch at pc.
-                        let fetch = |a: Addr| match &self.mode {
-                            Mode::NaiveIlr(rp) => rp.rand_or_orig(a),
-                            _ => a,
-                        };
                         let sb = self.sb_cache.get(id);
-                        let plan = sb.insts.iter().map(|s| ReplayInst::new(s, fetch(s.pc)));
+                        let plan =
+                            sb.insts.iter().map(|s| ReplayInst::new(s, self.mode.fetch_addr(s.pc)));
                         self.sb_timing.push(plan.collect());
                         id
                     }
@@ -651,11 +602,6 @@ impl<'a> Session<'a> {
                 }
             }
         };
-        let vcfr = match &self.mode {
-            Mode::Vcfr { program, .. } => Some(*program),
-            _ => None,
-        };
-
         // Cap the batch at the nearest boundary. All of these are
         // strictly ahead of the current instruction count (loop/run_for
         // invariants), so the subtractions cannot wrap — saturating_sub
@@ -672,18 +618,11 @@ impl<'a> Session<'a> {
                 n = n.min(f.at_inst.saturating_sub(i));
             }
         }
-        if vcfr.is_some() {
-            // The instruction landing exactly on a flush/epoch multiple
-            // must take the slow path: `Engine::step` performs the flush
-            // or table swap *before* that instruction's fetch.
-            if let Some(q) = self.cfg.drc_flush_interval.and_then(|v| i.checked_div(v)) {
-                let interval = self.cfg.drc_flush_interval.expect("division succeeded");
-                n = n.min((q + 1) * interval - i - 1);
-            }
-            if let Some(q) = self.cfg.rerand_epoch.and_then(|v| i.checked_div(v)) {
-                let epoch = self.cfg.rerand_epoch.expect("division succeeded");
-                n = n.min((q + 1) * epoch - i - 1);
-            }
+        if let Some(med) = &engine.med {
+            // The instruction landing on a flush/epoch boundary must take
+            // the slow path: `Engine::step` ticks the mediation layer
+            // *before* that instruction's fetch.
+            n = n.min(med.next_boundary(i) - i - 1);
         }
         if n == 0 {
             return false;
@@ -691,7 +630,7 @@ impl<'a> Session<'a> {
         let n = n as usize;
         self.sb_accesses.clear();
         machine.replay_superblock(self.sb_cache.get(id), n, &mut self.sb_accesses);
-        engine.replay_block(&self.sb_timing[id as usize][..n], &self.sb_accesses, vcfr);
+        engine.replay_block(&self.sb_timing[id as usize][..n], &self.sb_accesses);
         self.sb_batches += 1;
         self.sb_insts += n as u64;
         true
@@ -706,17 +645,11 @@ impl<'a> Session<'a> {
             let Backend::InOrder { engine, .. } = &mut self.backend else {
                 unreachable!("run_for rejects fault plans off the in-order engine");
             };
-            let image = self.mode.image_ref();
-            let fault_rp: Option<&RandomizedProgram> = match &self.mode {
-                Mode::Vcfr { program, .. } => Some(program),
-                _ => None,
-            };
             while let Some(f) = p.faults.get(self.fault_idx) {
                 if f.at_inst > engine.instructions {
                     break;
                 }
-                let outcome =
-                    engine.inject_fault(f, image, fault_rp, p.policy).map_err(VcfrError::Sim)?;
+                let outcome = engine.inject_fault(f, p.policy).map_err(VcfrError::Sim)?;
                 engine.fstats.record(outcome);
                 engine.frecords.push(FaultRecord {
                     at_inst: engine.instructions,
@@ -871,19 +804,15 @@ impl<'a> Session<'a> {
         let payload = checkpoint::open(bytes, self.context())?;
         let wire = |e: WireError| VcfrError::Checkpoint(CheckpointError::Wire(e));
         let mut r = Reader::with_magic(payload, PAYLOAD_MAGIC).map_err(wire)?;
-        let drc_cfg = match &self.mode {
-            Mode::Vcfr { drc, .. } => Some(*drc),
-            _ => None,
-        };
         let backend = match self.cfg.engine {
             EngineKind::InOrder => {
                 let machine = Machine::restore(self.mode.image_ref(), &mut r).map_err(wire)?;
-                let engine = Engine::restore(&self.cfg, drc_cfg, &mut r).map_err(wire)?;
+                let engine = Engine::restore(&self.cfg, self.mode, &mut r).map_err(wire)?;
                 Backend::InOrder { machine, engine }
             }
             EngineKind::Ooo => {
                 let machine = Machine::restore(self.mode.image_ref(), &mut r).map_err(wire)?;
-                let engine = OooEngine::restore(&self.cfg, drc_cfg, &mut r).map_err(wire)?;
+                let engine = OooEngine::restore(&self.cfg, self.mode, &mut r).map_err(wire)?;
                 Backend::Ooo { machine, engine }
             }
             EngineKind::Multicore { .. } => Backend::Multicore(
@@ -1240,24 +1169,6 @@ mod tests {
             1_000
         )
         .is_err());
-    }
-
-    #[test]
-    fn ooo_session_matches_the_free_function() {
-        let img = workload();
-        let cfg = SimConfig::builder().engine(EngineKind::Ooo).build().unwrap();
-        let legacy = crate::simulate_ooo(
-            Mode::Baseline(&img),
-            &cfg,
-            OooConfig::default(),
-            100_000,
-        )
-        .unwrap();
-        let out =
-            Session::new(Mode::Baseline(&img), &cfg, 100_000).unwrap().run().unwrap();
-        assert_eq!(out.output.stats, legacy.stats);
-        assert_eq!(out.output.outcome, legacy.outcome);
-        assert!(out.multicore.is_none());
     }
 
     #[test]

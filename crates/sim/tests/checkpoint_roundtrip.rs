@@ -6,7 +6,8 @@
 use vcfr_core::DrcConfig;
 use vcfr_rewriter::{randomize, RandomizeConfig};
 use vcfr_sim::{
-    CheckpointError, Mode, Session, SessionStatus, SimConfig, VcfrError, CHECKPOINT_MAGIC,
+    CheckpointError, EngineKind, Mode, Session, SessionStatus, SimConfig, VcfrError,
+    CHECKPOINT_MAGIC,
 };
 use vcfr_workloads::by_name;
 
@@ -119,4 +120,34 @@ fn version_and_context_mismatches_are_rejected() {
         other.restore(&snap),
         Err(VcfrError::Checkpoint(CheckpointError::ContextMismatch))
     ));
+}
+
+/// The in-order and multicore payload bytes are pinned by their FNV-1a
+/// hash, which the envelope stores in its last 8 bytes. Both runs are
+/// VCFR with epoch swaps landing while return addresses are live on the
+/// stack, so the pins cover the DRC, the stack-slot bitmap and maps, the
+/// epoch tables and the trace ring. A change to either hash changes the
+/// checkpoint format and needs a version bump.
+#[test]
+fn inorder_and_multicore_payload_bytes_are_pinned() {
+    let w = by_name("sjeng").expect("sjeng exists");
+    let rp = randomize(&w.image, &RandomizeConfig::with_seed(7)).expect("randomizes");
+    let mode = Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(64) };
+    for (engine, pinned) in [
+        (EngineKind::InOrder, 0xc110_01bf_3633_ebb6u64),
+        (EngineKind::Multicore { cores: 2 }, 0x0bf2_d653_d7c0_210b),
+    ] {
+        let cfg = SimConfig { engine, rerand_epoch: Some(1_999), ..SimConfig::default() };
+        let mut s = Session::new(mode, &cfg, 20_000).expect("session builds");
+        assert!(matches!(s.run_for(9_000).expect("chunk runs"), SessionStatus::Running));
+        let stats = s.stats_now();
+        assert!(stats.rerand_epochs > 0, "{engine:?}: no epoch swap before the snapshot");
+        // Swaps cost 200 + 2 per table entry; anything beyond that is the
+        // 4-cycle rewrite of a live return-address slot.
+        let quiet = stats.rerand_epochs * (200 + 2 * rp.table.len() as u64);
+        assert!(stats.rerand_stall_cycles > quiet, "{engine:?}: no swap landed mid-call");
+        let snap = s.checkpoint();
+        let hash = u64::from_le_bytes(snap[snap.len() - 8..].try_into().expect("8 bytes"));
+        assert_eq!(hash, pinned, "{engine:?}: payload hash {hash:#018x}");
+    }
 }

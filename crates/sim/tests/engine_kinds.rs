@@ -13,6 +13,9 @@
 //!   of another (the kind is part of the context fingerprint).
 //! - Shared-L2 port contention is zero without a sibling and positive
 //!   with one, and stays inside the audit's containment bound.
+//! - All three engines drive the one mediation layer and control
+//!   resolver, so on every SPEC app they report the same DRC, branch and
+//!   re-randomization counters, with and without epoch swaps.
 
 use vcfr_core::DrcConfig;
 use vcfr_rewriter::{randomize, RandomizeConfig};
@@ -150,4 +153,33 @@ fn contention_appears_only_with_a_sibling_and_stays_contained() {
     let a = pair.stats.accounting();
     assert!(a.contention <= a.fetch_stall + a.load_stall + a.drc_walk, "containment violated");
     assert!(pair.stats.accounting().audit().passed(), "aggregate audit failed");
+}
+
+#[test]
+fn every_engine_mediates_and_predicts_identically() {
+    for name in vcfr_workloads::SPEC_NAMES {
+        let w = vcfr_workloads::by_name(name).expect("SPEC app exists");
+        let max_insts = w.max_insts.min(200_000);
+        let rp = randomize(&w.image, &RandomizeConfig::with_seed(SEED)).expect("randomizes");
+        let mode = Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) };
+        for rerand_epoch in [None, Some(7_919)] {
+            let stats = |engine| {
+                let cfg = SimConfig { engine, rerand_epoch, ..SimConfig::default() };
+                let mut s = Session::new(mode, &cfg, max_insts).expect("session builds");
+                s.run().unwrap_or_else(|e| panic!("{name} {engine:?}: {e}")).output.stats
+            };
+            let inorder = stats(EngineKind::InOrder);
+            for engine in [EngineKind::Ooo, EngineKind::Multicore { cores: 1 }] {
+                let other = stats(engine);
+                let run = format!("{name}, {engine:?}, epoch {rerand_epoch:?}");
+                assert_eq!(other.drc, inorder.drc, "{run}: DRC counters");
+                assert_eq!(other.branch, inorder.branch, "{run}: branch counters");
+                assert_eq!(other.rerand_epochs, inorder.rerand_epochs, "{run}: epochs");
+                assert_eq!(
+                    other.rerand_stall_cycles, inorder.rerand_stall_cycles,
+                    "{run}: rerand stall"
+                );
+            }
+        }
+    }
 }

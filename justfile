@@ -22,6 +22,12 @@ bench-smoke:
 superblock-smoke:
     cargo test --release -p vcfr-sim --test superblock_equiv
 
+# Engine smoke: defined once as the cargo alias in .cargo/config.toml
+# (every engine kind reports the same mediation and branch counters;
+# see docs/simulator.md).
+engine-smoke:
+    cargo engine-smoke
+
 # Observability smoke: manifests byte-identical across thread counts,
 # parse round trip, and audit identity (see docs/observability.md).
 obs-smoke:
@@ -71,7 +77,7 @@ docs-check:
     cargo test -p vcfr --test docs_check
 
 # Every end-to-end smoke in one go.
-smoke: obs-smoke faults-smoke serve-smoke fleet-smoke superblock-smoke telemetry-smoke multicore-smoke security-smoke docs-check
+smoke: obs-smoke faults-smoke serve-smoke fleet-smoke superblock-smoke engine-smoke telemetry-smoke multicore-smoke security-smoke docs-check
 
 # Full test suite across the workspace.
 test:
