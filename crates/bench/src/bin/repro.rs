@@ -6,7 +6,7 @@
 //! repro check --threads 4   # CI gate on an explicit worker count
 //! repro obs-smoke      # tiny observability end-to-end check
 //! repro faults         # 11-app fault-injection campaign (base vs VCFR)
-//! repro faults-smoke   # 1-app seeded campaign + determinism check
+//! repro faults-smoke   # 1-app seeded campaign + full campaign vs results/faults/
 //! repro frontier       # entropy/security frontier sweep (Pareto table)
 //! repro frontier --shard 0/2  # one shard of the sweep (fleet node)
 //! repro frontier-smoke # full sweep: thread-stable, equal to results/frontier/
@@ -21,12 +21,17 @@
 //! manifest per (app, configuration) cell goes to `results/manifests/`.
 //! The worker count comes from `--threads N` (or `N` via `--threads=N`),
 //! falling back to `RAYON_NUM_THREADS` and then the machine's
-//! parallelism.
+//! parallelism. A malformed or out-of-range `--threads`, `--scale` or
+//! `--shard` exits with status 2 and a message naming the flag.
 
 use std::path::Path;
-use vcfr_bench::experiments::{self as ex, Matrix, MatrixTiming};
-use vcfr_bench::{campaign, manifests};
-use vcfr_obs::{CycleAccounting, Manifest};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use vcfr_bench::campaign::{self, CampaignCell};
+use vcfr_bench::experiments::{self as ex, Matrix, MatrixTiming, MulticoreCell};
+use vcfr_bench::smoke::{self, Verdict};
+use vcfr_bench::{manifests, FrontierPoint, FrontierRow};
+use vcfr_obs::{Manifest, ProgressEvent};
+use vcfr_workloads::{Workload, MAX_SCALE};
 
 fn want(args: &[String], name: &str) -> bool {
     args.is_empty() || args.iter().any(|a| a == name)
@@ -37,72 +42,106 @@ fn header(title: &str, paper: &str) {
     println!("    paper: {paper}");
 }
 
-/// Pulls `--threads N` / `--threads=N` out of `args` (so the remaining
-/// arguments are plain experiment names), returning the worker count.
-fn parse_threads(args: &mut Vec<String>) -> usize {
-    let mut threads = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--threads" && i + 1 < args.len() {
-            threads = args[i + 1].parse::<usize>().ok();
-            args.drain(i..i + 2);
-        } else if let Some(v) = args[i].strip_prefix("--threads=") {
-            threads = v.parse::<usize>().ok();
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    threads.filter(|&n| n > 0).unwrap_or_else(ex::default_threads)
+/// The options `repro` takes besides experiment names.
+#[derive(Debug, PartialEq)]
+struct Opts {
+    threads: usize,
+    scale: u64,
+    shard: Option<(usize, usize)>,
 }
 
-/// Pulls `--scale N` / `--scale=N` out of `args`, returning the
-/// workload scale factor (default 1, the calibrated suite). `check`
-/// always gates on scale 1 — its bands are calibrated for the unscaled
-/// programs.
-fn parse_scale(args: &mut Vec<String>) -> u64 {
-    let mut scale = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--scale" && i + 1 < args.len() {
-            scale = args[i + 1].parse::<u64>().ok();
-            args.drain(i..i + 2);
-        } else if let Some(v) = args[i].strip_prefix("--scale=") {
-            scale = v.parse::<u64>().ok();
-            args.remove(i);
-        } else {
-            i += 1;
-        }
+impl Opts {
+    /// Pulls `--threads`, `--scale` and `--shard` out of `args`, leaving
+    /// the experiment names. `--scale` defaults to 1, the calibrated
+    /// suite (`check` always gates on it); a `--shard i/n` runs one
+    /// shard of the frontier sweep (the fleet runs one per node and
+    /// merges the manifest trees).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag when its value is missing, malformed
+    /// or out of range.
+    fn parse(args: &mut Vec<String>) -> Result<Opts, String> {
+        let threads = take_flag(args, "threads", "a worker count of at least 1", |v| {
+            v.parse().ok().filter(|&n: &usize| n > 0)
+        })?;
+        let scale = take_flag(args, "scale", &format!("a scale from 1 to {MAX_SCALE}"), |v| {
+            v.parse().ok().filter(|n| (1..=MAX_SCALE).contains(n))
+        })?;
+        let shard = take_flag(args, "shard", "a shard i/n with i < n", |v| {
+            let (i, n) = v.split_once('/')?;
+            let (i, n) = (i.parse().ok()?, n.parse().ok()?);
+            (i < n).then_some((i, n))
+        })?;
+        Ok(Opts {
+            threads: threads.unwrap_or_else(ex::default_threads),
+            scale: scale.unwrap_or(1),
+            shard,
+        })
     }
-    scale.filter(|&n| n > 0).unwrap_or(1)
 }
 
-/// Pulls `--shard i/n` / `--shard=i/n` out of `args`, returning the
-/// shard coordinates when present (the fleet runs one `repro frontier
-/// --shard i/n` per node and merges the manifest trees).
-fn parse_shard(args: &mut Vec<String>) -> Option<(usize, usize)> {
-    let mut shard = None;
+/// Removes every `--name V` / `--name=V` from `args` and returns the
+/// last `V` as `parse` reads it (`None` when the flag is absent).
+fn take_flag<T>(
+    args: &mut Vec<String>,
+    name: &str,
+    expected: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let (bare, with_eq) = (format!("--{name}"), format!("--{name}="));
+    let mut out = None;
     let mut i = 0;
     while i < args.len() {
-        let spec = if args[i] == "--shard" && i + 1 < args.len() {
-            let v = args[i + 1].clone();
-            args.drain(i..i + 2);
-            Some(v)
-        } else if let Some(v) = args[i].strip_prefix("--shard=") {
+        let value = if args[i] == bare && i + 1 < args.len() {
+            args.drain(i..i + 2).nth(1).expect("two arguments drained")
+        } else if args[i] == bare {
+            return Err(format!("--{name} needs {expected}"));
+        } else if let Some(v) = args[i].strip_prefix(&with_eq) {
             let v = v.to_string();
             args.remove(i);
-            Some(v)
+            v
         } else {
             i += 1;
-            None
+            continue;
         };
-        if let Some(v) = spec {
-            shard = v.split_once('/').and_then(|(a, b)| {
-                Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?))
-            });
-        }
+        out =
+            Some(parse(&value).ok_or_else(|| format!("--{name} needs {expected}, got {value:?}"))?);
     }
-    shard.filter(|&(i, n)| n > 0 && i < n)
+    Ok(out)
+}
+
+/// Writes one section's manifests to `dir`, reporting on stderr.
+fn write_tree(what: &str, dir: &str, ms: &[Manifest]) {
+    match manifests::write_manifests(Path::new(dir), ms) {
+        Ok(n) => eprintln!("wrote {n} {what} manifests to {dir}/"),
+        Err(e) => eprintln!("warning: could not write {what} manifests: {e}"),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Campaigns: results and manifests at a worker-thread count, shared by
+// the sections that print them and the smokes that gate them.
+// ---------------------------------------------------------------------
+
+/// The simulation matrix over `suite`, tapped every `every` instructions
+/// when `every > 0`.
+fn matrix_campaign(
+    suite: &[Workload],
+    every: u64,
+    tap: &(dyn Fn(&ProgressEvent) + Sync),
+    threads: usize,
+) -> (Matrix, Vec<Manifest>) {
+    let (m, t) = ex::matrix_over_tapped(suite, threads, every, tap, &|_| {});
+    let ms = manifests::build_matrix_manifests(&m, &t);
+    (m, ms)
+}
+
+/// The fault-injection campaign over `suite`.
+fn faults_campaign(suite: &[Workload], threads: usize) -> (Vec<CampaignCell>, Vec<Manifest>) {
+    let cells = campaign::run_campaign(suite, threads);
+    let ms = manifests::build_campaign_manifests(&cells, threads);
+    (cells, ms)
 }
 
 /// The workload the frontier sweeps: compact enough that the region
@@ -110,130 +149,174 @@ fn parse_shard(args: &mut Vec<String>) -> Option<(usize, usize)> {
 /// every standard point.
 const FRONTIER_APP: &str = "sjeng";
 
-/// Runs the entropy/security frontier sweep (optionally one shard of
-/// it), prints the Pareto table, and writes one manifest per point to
-/// `out_dir`.
-fn run_frontier_cmd(
+/// The entropy/security frontier over `points`.
+fn frontier_campaign(
+    points: &[FrontierPoint],
     threads: usize,
-    shard: Option<(usize, usize)>,
-    out_dir: &Path,
-) -> Vec<vcfr_bench::FrontierRow> {
+) -> (Vec<FrontierRow>, Vec<Manifest>) {
     let w = vcfr_workloads::by_name(FRONTIER_APP).expect("frontier app exists");
-    let points: Vec<vcfr_bench::FrontierPoint> = match shard {
-        Some((i, n)) => vcfr_bench::shard_frontier(&vcfr_bench::FRONTIER_POINTS, n).swap_remove(i),
-        None => vcfr_bench::FRONTIER_POINTS.to_vec(),
-    };
     let fz = vcfr_bench::frontier_fuzz_config();
-    eprintln!(
-        "frontier: {FRONTIER_APP} x {} point(s), {} trials x {} probes per point, {} thread(s) ...",
-        points.len(),
-        fz.trials,
-        fz.probes_per_trial,
-        threads
-    );
-    let rows = vcfr_bench::run_frontier(&w, &points, &fz, threads);
-    header(
-        "Entropy/security frontier - Pareto table",
-        "attacker success vs slowdown vs fault-detection coverage per entropy point",
-    );
-    let summaries: Vec<_> = rows.iter().map(|r| r.summary()).collect();
-    print!("{}", vcfr_bench::frontier_pareto_table(&summaries));
+    let rows = vcfr_bench::run_frontier(&w, points, &fz, threads);
     let ms = manifests::build_frontier_manifests(&rows, &fz, threads);
-    match manifests::write_manifests(out_dir, &ms) {
-        Ok(n) => eprintln!("wrote {n} frontier manifests to {}/", out_dir.display()),
-        Err(e) => eprintln!("warning: could not write frontier manifests: {e}"),
-    }
-    rows
+    (rows, ms)
 }
 
-/// End-to-end check of the frontier: the full five-point campaign at 1
-/// and 2 worker threads, manifests byte-identical across thread counts
-/// and equal (host block stripped) to the checked-in
-/// `results/frontier/*.json`, span strictly growing with entropy, and
-/// the manifest round-trip reproducing every headline number.
-fn frontier_smoke() -> bool {
-    let w = vcfr_workloads::by_name(FRONTIER_APP).expect("frontier app exists");
-    let points = vcfr_bench::FRONTIER_POINTS;
-    let fz = vcfr_bench::frontier_fuzz_config();
-    let checked_in = Path::new("results/frontier");
-    eprintln!(
-        "frontier-smoke: {FRONTIER_APP} x {} points, {} trials x {} probes, against {}/",
-        points.len(),
-        fz.trials,
-        fz.probes_per_trial,
-        checked_in.display()
+/// The multicore rerand cells at a per-core `budget`.
+fn multicore_campaign(budget: u64, threads: usize) -> (Vec<MulticoreCell>, Vec<Manifest>) {
+    let cells = ex::multicore_rerand_cells(threads, budget);
+    let ms = manifests::build_multicore_manifests(&cells, threads);
+    (cells, ms)
+}
+
+// ---------------------------------------------------------------------
+// Smokes: each names its campaign, the shared checks of
+// `vcfr_bench::smoke` it applies, and its own domain assertions.
+// ---------------------------------------------------------------------
+
+/// A smoke: its checks fold into the verdict.
+type Smoke = fn(&mut Verdict);
+
+/// `repro <name>` runs the smoke and exits 0 on PASS, 1 on FAIL.
+const SMOKES: [(&str, Smoke); 5] = [
+    ("obs-smoke", obs_smoke),
+    ("faults-smoke", faults_smoke),
+    ("frontier-smoke", frontier_smoke),
+    ("telemetry-smoke", telemetry_smoke),
+    ("multicore-smoke", multicore_smoke),
+];
+
+/// bzip2 on a 60,000-instruction budget: the suite of the small smokes.
+fn bzip2_suite() -> [Workload; 1] {
+    let mut w = vcfr_workloads::by_name("bzip2").expect("bzip2 exists");
+    w.max_insts = w.max_insts.min(60_000);
+    [w]
+}
+
+/// The observability layer: one app through the five-configuration
+/// matrix.
+fn obs_smoke(v: &mut Verdict) {
+    let suite = bzip2_suite();
+    let (_, ms) = smoke::thread_stable(v, |t| matrix_campaign(&suite, 0, &|_| {}, t));
+    smoke::round_trips(v, &ms, Path::new("target/obs-smoke-manifests"));
+    smoke::audits_close(v, &ms);
+}
+
+/// Fault injection: the seeded one-app campaign, with VCFR strictly
+/// ahead of the baseline on detection coverage, then the full 11-app
+/// campaign against the checked-in `results/faults/`.
+fn faults_smoke(v: &mut Verdict) {
+    let suite = bzip2_suite();
+    let (cells, ms) = smoke::thread_stable(v, |t| faults_campaign(&suite, t));
+    smoke::round_trips(v, &ms, Path::new("target/faults-smoke-manifests"));
+    smoke::audits_close(v, &ms);
+    let (base, vcfr) = (cells[0].faults.coverage(), cells[1].faults.coverage());
+    v.check(vcfr > base, format_args!("vcfr coverage {vcfr:.3} beats baseline {base:.3}"));
+    let spec = vcfr_workloads::spec_suite();
+    let (_, full) = smoke::thread_stable(v, |t| faults_campaign(&spec, t));
+    smoke::audits_close(v, &full);
+    smoke::matches_tree(v, &full, Path::new("results/faults"));
+}
+
+/// The security frontier: the full five-point sweep against the
+/// checked-in `results/frontier/`; span strictly grows with entropy and
+/// every manifest reads back as its row's headline numbers.
+fn frontier_smoke(v: &mut Verdict) {
+    let (rows, ms) =
+        smoke::thread_stable(v, |t| frontier_campaign(&vcfr_bench::FRONTIER_POINTS, t));
+    smoke::matches_tree(v, &ms, Path::new("results/frontier"));
+    smoke::round_trips(v, &ms, Path::new("target/frontier-smoke-manifests"));
+    smoke::audits_close(v, &ms);
+    for p in rows.windows(2) {
+        let (a, b) = (p[0].span_bytes, p[1].span_bytes);
+        v.check(a < b, format_args!("span grows with entropy: {a} < {b}"));
+    }
+    for (row, m) in rows.iter().zip(&ms) {
+        let s = row.summary();
+        v.check(
+            manifests::frontier_summary_from_manifest(m).as_ref() == Some(&s),
+            format_args!(
+                "{:<28} reads back atk {:.3}, slowdown {:.3}x, cover {:.3}",
+                m.file_name(),
+                s.attack_success,
+                s.slowdown,
+                s.fault_coverage
+            ),
+        );
+    }
+}
+
+/// The telemetry tap costs no result byte: matrix manifests with the
+/// tap off and on agree (each thread-stable), the tap fired, and a
+/// tapped and an untapped session checkpoint identically mid-run.
+fn telemetry_smoke(v: &mut Verdict) {
+    use vcfr_sim::{Mode, Session, SimConfig};
+    let suite = bzip2_suite();
+    let (_, off) = smoke::thread_stable(v, |t| matrix_campaign(&suite, 0, &|_| {}, t));
+    let events = AtomicU64::new(0);
+    let tap = |_: &ProgressEvent| {
+        events.fetch_add(1, Ordering::Relaxed);
+    };
+    let (_, on) = smoke::thread_stable(v, |t| matrix_campaign(&suite, 10_000, &tap, t));
+    smoke::same_bytes(v, &off, &on, "tap off vs on");
+    let fired = events.load(Ordering::Relaxed);
+    v.check(fired > 0, format_args!("tap fired {fired} progress events across the tapped runs"));
+
+    // The progress cursor lives outside the checkpoint payload.
+    let w = &suite[0];
+    let rp = ex::randomize_workload(&w.image);
+    let cfg = SimConfig::default();
+    let mode = || Mode::Vcfr { program: &rp, drc: vcfr_core::DrcConfig::direct_mapped(128) };
+    let mut tapped = Session::new(mode(), &cfg, w.max_insts)
+        .expect("session builds")
+        .with_progress(5_000, |_| {});
+    let mut plain = Session::new(mode(), &cfg, w.max_insts).expect("session builds");
+    tapped.run_for(20_000).expect("tapped chunk runs");
+    plain.run_for(20_000).expect("plain chunk runs");
+    v.check(
+        tapped.checkpoint() == plain.checkpoint(),
+        format_args!(
+            "checkpoint identical at {} instructions, tap on vs off",
+            plain.instructions()
+        ),
     );
-    let mut ok = true;
-
-    let rows1 = vcfr_bench::run_frontier(&w, &points, &fz, 1);
-    let rows2 = vcfr_bench::run_frontier(&w, &points, &fz, 2);
-    let ms1 = manifests::build_frontier_manifests(&rows1, &fz, 1);
-    let ms2 = manifests::build_frontier_manifests(&rows2, &fz, 2);
-    for (a, b) in ms1.iter().zip(&ms2) {
-        if a.canonical_bytes() != b.canonical_bytes() {
-            eprintln!("FAIL {}: canonical manifest differs between 1 and 2 threads", a.file_name());
-            ok = false;
-        } else {
-            println!("PASS {:<28} thread-stable", a.file_name());
-        }
-    }
-    for m in &ms1 {
-        let path = checked_in.join(m.file_name());
-        let stored = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| Manifest::from_str(&text).map_err(|e| e.to_string()));
-        match stored {
-            Ok(s) if s.canonical_bytes() == m.canonical_bytes() => {
-                println!("PASS {:<28} matches {}", m.file_name(), path.display());
-            }
-            Ok(_) => {
-                eprintln!("FAIL {}: canonical bytes differ from {}", m.file_name(), path.display());
-                ok = false;
-            }
-            Err(e) => {
-                eprintln!("FAIL {}: cannot read {}: {e}", m.file_name(), path.display());
-                ok = false;
-            }
-        }
-    }
-    for pair in rows1.windows(2) {
-        if pair[0].span_bytes >= pair[1].span_bytes {
-            eprintln!(
-                "FAIL: span must grow with entropy ({} vs {})",
-                pair[0].span_bytes, pair[1].span_bytes
-            );
-            ok = false;
-        }
-    }
-    for (row, m) in rows1.iter().zip(&ms1) {
-        match manifests::frontier_summary_from_manifest(m) {
-            Some(s) if s == row.summary() => {
-                println!(
-                    "PASS {:<28} atk {:.3}, slowdown {:.3}x, cover {:.3}",
-                    m.file_name(),
-                    s.attack_success,
-                    s.slowdown,
-                    s.fault_coverage
-                );
-            }
-            Some(_) => {
-                eprintln!("FAIL {}: manifest summary differs from the run", m.file_name());
-                ok = false;
-            }
-            None => {
-                eprintln!("FAIL {}: manifest does not read back as a frontier point", m.file_name());
-                ok = false;
-            }
-        }
-    }
-    if let Err(e) = manifests::write_manifests(Path::new("target/frontier-smoke-manifests"), &ms1)
-    {
-        eprintln!("FAIL: could not write manifests: {e}");
-        ok = false;
-    }
-    println!("frontier-smoke: {}", if ok { "PASS" } else { "FAIL" });
-    ok
 }
+
+/// The multicore rerand cells: a VCFR core swaps its live layout
+/// mid-run while a baseline sibling streams through the shared L2.
+/// Epochs fire on core 0 only, and the VCFR core computes what a solo
+/// baseline run of its app does.
+fn multicore_smoke(v: &mut Verdict) {
+    use vcfr_sim::{Mode, SimConfig};
+    let budget = 120_000;
+    let (cells, ms) = smoke::thread_stable(v, |t| multicore_campaign(budget, t));
+    smoke::round_trips(v, &ms, Path::new("target/multicore-smoke-manifests"));
+    smoke::audits_close(v, &ms);
+    for (cell, m) in cells.iter().zip(&ms) {
+        let (core0, core1) = (&cell.output.per_core[0], &cell.output.per_core[1]);
+        v.check(
+            core0.rerand_epochs > 0 && core1.rerand_epochs == 0,
+            format_args!(
+                "{:<28} {} epoch swaps on core 0, {} on core 1; contention {} cycles, \
+                 shared-L2 miss {:.1}%",
+                m.file_name(),
+                core0.rerand_epochs,
+                core1.rerand_epochs,
+                cell.output.stats.contention_stall_cycles,
+                100.0 * cell.output.shared_l2.miss_rate()
+            ),
+        );
+        let w = vcfr_workloads::by_name(cell.vcfr_app).expect("known workload");
+        let solo = ex::run_cell(Mode::Baseline(&w.image), &SimConfig::default(), budget);
+        v.check(
+            cell.output.outcomes[0].output == solo.outcome.output,
+            format_args!("{:<28} VCFR core output equals a solo baseline run", m.file_name()),
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Sections
+// ---------------------------------------------------------------------
 
 /// Runs the no-stall superblock throughput measurement and prints both
 /// rates; returns the fast-path run for the artefact writer.
@@ -286,361 +369,7 @@ fn write_artifacts(m: &Matrix, t: &MatrixTiming) {
         ),
         Err(e) => eprintln!("warning: could not write BENCH_repro.json: {e}"),
     }
-    let ms = manifests::build_matrix_manifests(m, t);
-    match manifests::write_manifests(Path::new("results/manifests"), &ms) {
-        Ok(n) => eprintln!("wrote {n} run manifests to results/manifests/"),
-        Err(e) => eprintln!("warning: could not write run manifests: {e}"),
-    }
-}
-
-/// Tiny end-to-end check of the observability layer: runs one small app
-/// through all five configurations, audits the cycle accounting of every
-/// cell, and verifies manifests round-trip and are canonically identical
-/// across worker-thread counts.
-fn obs_smoke() -> bool {
-    let mut w = vcfr_workloads::by_name("bzip2").expect("bzip2 exists");
-    w.max_insts = w.max_insts.min(60_000);
-    let suite = [w];
-    eprintln!("obs-smoke: bzip2 x 5 configs, {} inst budget per run", suite[0].max_insts);
-
-    let (m1, t1) = ex::matrix_over(&suite, 1);
-    let (m2, t2) = ex::matrix_over(&suite, 2);
-    let ms1 = manifests::build_matrix_manifests(&m1, &t1);
-    let ms2 = manifests::build_matrix_manifests(&m2, &t2);
-    let mut ok = true;
-
-    // Manifests are byte-identical across thread counts once the
-    // volatile host block is stripped.
-    for (a, b) in ms1.iter().zip(&ms2) {
-        if a.canonical_bytes() != b.canonical_bytes() {
-            eprintln!("FAIL {}: canonical manifest differs between 1 and 2 threads", a.file_name());
-            ok = false;
-        }
-    }
-
-    // Every cell's cycle accounting passes the audit; the identity terms
-    // survive the manifest round trip.
-    let dir = Path::new("target/obs-smoke-manifests");
-    if let Err(e) = manifests::write_manifests(dir, &ms1) {
-        eprintln!("FAIL: could not write manifests: {e}");
-        return false;
-    }
-    for m in &ms1 {
-        let text = match std::fs::read_to_string(dir.join(m.file_name())) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("FAIL {}: unreadable: {e}", m.file_name());
-                ok = false;
-                continue;
-            }
-        };
-        let back = match Manifest::from_str(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("FAIL {}: {e}", m.file_name());
-                ok = false;
-                continue;
-            }
-        };
-        let audit = back.json().get("audit").and_then(CycleAccounting::from_json);
-        let Some(accounting) = audit else {
-            eprintln!("FAIL {}: manifest has no audit block", m.file_name());
-            ok = false;
-            continue;
-        };
-        let report = accounting.audit();
-        if report.passed() {
-            println!(
-                "PASS {:<22} {:>9} cycles, coverage {:.3}",
-                m.file_name(),
-                accounting.cycles,
-                accounting.coverage()
-            );
-        } else {
-            ok = false;
-            for f in &report.failures {
-                eprintln!("FAIL {}: {f}", m.file_name());
-            }
-        }
-    }
-    println!("obs-smoke: {}", if ok { "PASS" } else { "FAIL" });
-    ok
-}
-
-/// End-to-end gate on the telemetry tap's zero-observability cost: the
-/// simulated results must be byte-identical with progress events on or
-/// off. Checks (1) canonical matrix manifests across {tap off, tap on}
-/// × {1, 2} worker threads, (2) mid-run checkpoints from a tapped and
-/// an untapped session, and (3) that the tap actually fired.
-fn telemetry_smoke() -> bool {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use vcfr_core::DrcConfig;
-    use vcfr_sim::{Mode, Session, SimConfig};
-
-    let mut w = vcfr_workloads::by_name("bzip2").expect("bzip2 exists");
-    w.max_insts = w.max_insts.min(60_000);
-    let suite = [w];
-    eprintln!(
-        "telemetry-smoke: bzip2 x 5 configs, {} inst budget, tap on/off x 1/2 threads",
-        suite[0].max_insts
-    );
-    let mut ok = true;
-
-    // (1) Manifests: tap off on one thread is the reference; every other
-    // (tap, threads) combination must produce the same canonical bytes.
-    let (m_ref, t_ref) = ex::matrix_over(&suite, 1);
-    let ms_ref = manifests::build_matrix_manifests(&m_ref, &t_ref);
-    let events = AtomicU64::new(0);
-    for threads in [1usize, 2] {
-        for tap in [false, true] {
-            if threads == 1 && !tap {
-                continue; // that is the reference run
-            }
-            let (m, t) = if tap {
-                ex::matrix_over_tapped(
-                    &suite,
-                    threads,
-                    10_000,
-                    &|_| {
-                        events.fetch_add(1, Ordering::Relaxed);
-                    },
-                    &|_| {},
-                )
-            } else {
-                ex::matrix_over(&suite, threads)
-            };
-            let ms = manifests::build_matrix_manifests(&m, &t);
-            for (a, b) in ms_ref.iter().zip(&ms) {
-                if a.canonical_bytes() == b.canonical_bytes() {
-                    println!(
-                        "PASS {:<22} identical (tap {}, {} thread{})",
-                        a.file_name(),
-                        if tap { "on" } else { "off" },
-                        threads,
-                        if threads == 1 { "" } else { "s" }
-                    );
-                } else {
-                    eprintln!(
-                        "FAIL {}: manifest differs with tap {} on {} thread(s)",
-                        a.file_name(),
-                        if tap { "on" } else { "off" },
-                        threads
-                    );
-                    ok = false;
-                }
-            }
-        }
-    }
-    let fired = events.load(Ordering::Relaxed);
-    if fired == 0 {
-        eprintln!("FAIL: the telemetry tap never fired");
-        ok = false;
-    } else {
-        println!("PASS tap fired {fired} progress events across the tapped runs");
-    }
-
-    // (2) Checkpoints: drive a tapped and an untapped session to the
-    // same instruction boundary; the checkpoint payloads must be
-    // byte-identical (the progress cursor lives outside them).
-    let w = &suite[0];
-    let rp = ex::randomize_workload(&w.image);
-    let cfg = SimConfig::default();
-    let mode = || Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) };
-    let mut tapped = Session::new(mode(), &cfg, w.max_insts)
-        .expect("session builds")
-        .with_progress(5_000, |_| {});
-    let mut plain = Session::new(mode(), &cfg, w.max_insts).expect("session builds");
-    tapped.run_for(20_000).expect("tapped chunk runs");
-    plain.run_for(20_000).expect("plain chunk runs");
-    if tapped.checkpoint() == plain.checkpoint() {
-        println!(
-            "PASS checkpoint identical at {} instructions, tap on vs off",
-            plain.instructions()
-        );
-    } else {
-        eprintln!("FAIL: checkpoint differs between tapped and untapped sessions");
-        ok = false;
-    }
-
-    println!("telemetry-smoke: {}", if ok { "PASS" } else { "FAIL" });
-    ok
-}
-
-/// End-to-end gate on the multicore rerand cells: a VCFR core swaps its
-/// live layout mid-run while a baseline sibling streams through the
-/// shared L2. Checks (1) canonical manifests byte-identical across 1
-/// vs 2 worker threads, (2) rerand epochs fired on the VCFR core and
-/// only there, (3) every cell's aggregate cycle accounting audits, and
-/// (4) the VCFR core's architectural output matches a solo in-order
-/// baseline run of the same app.
-fn multicore_smoke() -> bool {
-    use vcfr_sim::{simulate, Mode, SimConfig};
-
-    let budget = 120_000;
-    eprintln!(
-        "multicore-smoke: VCFR+base pairings over the shared L2, {} inst budget per core, \
-         rerand every {} insts",
-        budget,
-        ex::MULTICORE_RERAND_EPOCH
-    );
-    let cells1 = ex::multicore_rerand_cells(1, budget);
-    let cells2 = ex::multicore_rerand_cells(2, budget);
-    let ms1 = manifests::build_multicore_manifests(&cells1, 1);
-    let ms2 = manifests::build_multicore_manifests(&cells2, 2);
-    let mut ok = true;
-
-    for (a, b) in ms1.iter().zip(&ms2) {
-        if a.canonical_bytes() != b.canonical_bytes() {
-            eprintln!(
-                "FAIL {}: canonical manifest differs between 1 and 2 threads",
-                a.file_name()
-            );
-            ok = false;
-        }
-    }
-
-    for (cell, m) in cells1.iter().zip(&ms1) {
-        let (core0, core1) = (&cell.output.per_core[0], &cell.output.per_core[1]);
-        if core0.rerand_epochs == 0 {
-            eprintln!("FAIL {}: the VCFR core never re-randomized", m.file_name());
-            ok = false;
-        }
-        if core1.rerand_epochs != 0 {
-            eprintln!(
-                "FAIL {}: the baseline sibling recorded {} rerand epochs",
-                m.file_name(),
-                core1.rerand_epochs
-            );
-            ok = false;
-        }
-        let report = cell.output.stats.accounting().audit();
-        if !report.passed() {
-            ok = false;
-            for f in &report.failures {
-                eprintln!("FAIL {}: {f}", m.file_name());
-            }
-            continue;
-        }
-        // Re-randomizing next to a streaming sibling must not change
-        // what the program computes: the VCFR core's output equals a
-        // solo in-order baseline run of the same app.
-        let w = vcfr_workloads::by_name(cell.vcfr_app).expect("known workload");
-        let solo = simulate(Mode::Baseline(&w.image), &SimConfig::default(), budget)
-            .expect("solo baseline runs");
-        if cell.output.outcomes[0].output != solo.outcome.output {
-            eprintln!(
-                "FAIL {}: the VCFR core's output differs from the solo baseline",
-                m.file_name()
-            );
-            ok = false;
-            continue;
-        }
-        println!(
-            "PASS {:<28} {:>2} epoch swaps, contention {:>6} cycles, shared-L2 miss {:.1}%",
-            m.file_name(),
-            core0.rerand_epochs,
-            cell.output.stats.contention_stall_cycles,
-            100.0 * cell.output.shared_l2.miss_rate()
-        );
-    }
-
-    if let Err(e) =
-        manifests::write_manifests(Path::new("target/multicore-smoke-manifests"), &ms1)
-    {
-        eprintln!("FAIL: could not write manifests: {e}");
-        ok = false;
-    }
-    println!("multicore-smoke: {}", if ok { "PASS" } else { "FAIL" });
-    ok
-}
-
-/// Runs the fault-injection campaign over `suite`, prints the coverage
-/// table, and writes one manifest per (app, configuration) cell under
-/// `out_dir`.
-fn run_faults(
-    suite: &[vcfr_workloads::Workload],
-    threads: usize,
-    out_dir: &Path,
-) -> Vec<campaign::CampaignCell> {
-    eprintln!(
-        "fault campaign: {} app(s) x {{base, vcfr128}}, {} faults per run, {} thread(s) ...",
-        suite.len(),
-        campaign::FAULTS_PER_RUN,
-        threads
-    );
-    let cells = campaign::run_campaign(suite, threads);
-    header(
-        "Fault-injection campaign - detection coverage",
-        "the dependability half: the mediation layer detects corrupted control-flow state",
-    );
-    print!("{}", campaign::coverage_table(&cells));
-    let ms = manifests::build_campaign_manifests(&cells, threads);
-    match manifests::write_manifests(out_dir, &ms) {
-        Ok(n) => eprintln!("wrote {n} campaign manifests to {}/", out_dir.display()),
-        Err(e) => eprintln!("warning: could not write campaign manifests: {e}"),
-    }
-    cells
-}
-
-/// Tiny end-to-end check of the fault campaign: one app, seeded
-/// schedule, manifests byte-identical across worker-thread counts, every
-/// cell's cycle accounting auditable, and VCFR strictly ahead of the
-/// baseline on detection coverage.
-fn faults_smoke() -> bool {
-    let mut w = vcfr_workloads::by_name("bzip2").expect("bzip2 exists");
-    w.max_insts = w.max_insts.min(60_000);
-    let suite = [w];
-    eprintln!("faults-smoke: bzip2 x {{base, vcfr128}}, {} inst budget", suite[0].max_insts);
-
-    let cells = run_faults(&suite, 1, Path::new("target/faults-smoke-manifests"));
-    let again = campaign::run_campaign(&suite, 2);
-    let ms1 = manifests::build_campaign_manifests(&cells, 1);
-    let ms2 = manifests::build_campaign_manifests(&again, 2);
-    let mut ok = true;
-
-    for (a, b) in ms1.iter().zip(&ms2) {
-        if a.canonical_bytes() != b.canonical_bytes() {
-            eprintln!(
-                "FAIL {}: canonical manifest differs between 1 and 2 threads",
-                a.file_name()
-            );
-            ok = false;
-        }
-    }
-    for (cell, m) in cells.iter().zip(&ms1) {
-        let audit = m.json().get("audit").and_then(CycleAccounting::from_json);
-        match audit.map(|a| a.audit()) {
-            Some(report) if report.passed() => {
-                println!(
-                    "PASS {:<26} {:>3} injected, coverage {:.3}",
-                    m.file_name(),
-                    cell.faults.injected,
-                    cell.faults.coverage()
-                );
-            }
-            Some(report) => {
-                ok = false;
-                for f in &report.failures {
-                    eprintln!("FAIL {}: {f}", m.file_name());
-                }
-            }
-            None => {
-                ok = false;
-                eprintln!("FAIL {}: manifest has no audit block", m.file_name());
-            }
-        }
-    }
-    let (base, vcfr) = (&cells[0], &cells[1]);
-    if vcfr.faults.coverage() <= base.faults.coverage() {
-        eprintln!(
-            "FAIL: vcfr coverage {:.3} does not beat baseline {:.3}",
-            vcfr.faults.coverage(),
-            base.faults.coverage()
-        );
-        ok = false;
-    }
-    println!("faults-smoke: {}", if ok { "PASS" } else { "FAIL" });
-    ok
+    write_tree("run", "results/manifests", &manifests::build_matrix_manifests(m, t));
 }
 
 /// CI gate: recompute the headline numbers and fail (exit 1) when any
@@ -684,9 +413,10 @@ fn check(threads: usize) -> bool {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = parse_threads(&mut args);
-    let scale = parse_scale(&mut args);
-    let shard = parse_shard(&mut args);
+    let Opts { threads, scale, shard } = Opts::parse(&mut args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(2)
+    });
     if args.iter().any(|a| a == "check") {
         if scale != 1 {
             eprintln!("note: check gates on the calibrated scale-1 suite; --scale ignored");
@@ -694,30 +424,42 @@ fn main() {
         let ok = check(threads);
         std::process::exit(if ok { 0 } else { 1 });
     }
-    if args.iter().any(|a| a == "obs-smoke") {
-        std::process::exit(if obs_smoke() { 0 } else { 1 });
-    }
-    if args.iter().any(|a| a == "faults-smoke") {
-        std::process::exit(if faults_smoke() { 0 } else { 1 });
-    }
-    if args.iter().any(|a| a == "frontier-smoke") {
-        std::process::exit(if frontier_smoke() { 0 } else { 1 });
-    }
-    if args.iter().any(|a| a == "telemetry-smoke") {
-        std::process::exit(if telemetry_smoke() { 0 } else { 1 });
-    }
-    if args.iter().any(|a| a == "multicore-smoke") {
-        std::process::exit(if multicore_smoke() { 0 } else { 1 });
+    if let Some((name, run)) = SMOKES.iter().find(|(n, _)| args.iter().any(|a| a == n)) {
+        let mut v = Verdict::default();
+        run(&mut v);
+        println!("{name}: {}", if v.ok() { "PASS" } else { "FAIL" });
+        std::process::exit(if v.ok() { 0 } else { 1 });
     }
     if args.iter().any(|a| a == "throughput") {
         let (on, _) = throughput();
         std::process::exit(if on.insts_per_s > 0.0 { 0 } else { 1 });
     }
     if want(&args, "faults") {
-        run_faults(&vcfr_workloads::spec_suite(), threads, Path::new("results/faults"));
+        eprintln!("fault campaign: 11 apps x {{base, vcfr128}}, {threads} thread(s) ...");
+        let (cells, ms) = faults_campaign(&vcfr_workloads::spec_suite(), threads);
+        header(
+            "Fault-injection campaign - detection coverage",
+            "the dependability half: the mediation layer detects corrupted control-flow state",
+        );
+        print!("{}", campaign::coverage_table(&cells));
+        write_tree("campaign", "results/faults", &ms);
     }
     if want(&args, "frontier") {
-        run_frontier_cmd(threads, shard, Path::new("results/frontier"));
+        let points = match shard {
+            Some((i, n)) => {
+                vcfr_bench::shard_frontier(&vcfr_bench::FRONTIER_POINTS, n).swap_remove(i)
+            }
+            None => vcfr_bench::FRONTIER_POINTS.to_vec(),
+        };
+        eprintln!("frontier: {FRONTIER_APP} x {} point(s), {threads} thread(s) ...", points.len());
+        let (rows, ms) = frontier_campaign(&points, threads);
+        header(
+            "Entropy/security frontier - Pareto table",
+            "attacker success vs slowdown vs fault-detection coverage per entropy point",
+        );
+        let summaries: Vec<_> = rows.iter().map(|r| r.summary()).collect();
+        print!("{}", vcfr_bench::frontier_pareto_table(&summaries));
+        write_tree("frontier", "results/frontier", &ms);
     }
     let needs_matrix =
         ["fig3", "fig4", "fig12", "fig13", "fig14", "fig15"].iter().any(|e| want(&args, e));
@@ -730,9 +472,9 @@ fn main() {
         // observer cannot perturb the simulated results).
         let suite = vcfr_workloads::spec_suite_scaled(scale);
         let total = suite.len() * ex::MODE_NAMES.len();
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let (m, timing) = ex::matrix_over_observed(&suite, threads, &|r| {
-            let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+        let done = AtomicUsize::new(0);
+        let (m, timing) = ex::matrix_over_tapped(&suite, threads, 0, &|_| {}, &|r| {
+            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
             eprintln!(
                 "  [{n:>3}/{total}] {:<10} {:<8} {:>11} insts in {:>6.2}s ({:>6.1}M insts/s)",
                 r.app,
@@ -749,7 +491,7 @@ fn main() {
     if want(&args, "fig2") {
         header("Figure 2 - instruction-level emulation slowdown", "hundreds of times vs native");
         println!("{:<12} {:>14} {:>12}", "app", "emulated CPI", "slowdown");
-        let rows = ex::fig2();
+        let rows = ex::fig2(threads);
         for r in &rows {
             println!("{:<12} {:>14.1} {:>11.0}x", r.name, r.emulated_cpi, r.slowdown);
         }
@@ -863,7 +605,7 @@ fn main() {
             "extensions beyond the paper (DESIGN.md SS6)",
         );
         println!("{:<42} {:>10} {:>10} {:>24}", "setting", "norm IPC", "DRC miss", "note");
-        for r in ex::ablations() {
+        for r in ex::ablations(threads) {
             println!(
                 "{:<42} {:>10.3} {:>9.1}% {:>24}",
                 r.setting, r.normalized_ipc, r.drc_miss_pct, r.note
@@ -898,7 +640,7 @@ fn main() {
             "app", "naive mean", "spread", "VCFR mean", "spread"
         );
         for (n, nm, ns, vm, vs) in
-            ex::seed_variance(&["bzip2", "hmmer", "h264ref", "lbm"], &[1, 2, 3, 4, 5])
+            ex::seed_variance(&["bzip2", "hmmer", "h264ref", "lbm"], &[1, 2, 3, 4, 5], threads)
         {
             println!("{n:<12} {nm:>12.3} {ns:>10.3} {vm:>12.3} {vs:>10.3}");
         }
@@ -913,7 +655,7 @@ fn main() {
             "{:<16} {:>16} {:>16} {:>14}",
             "pairing", "core0 norm IPC", "core1 norm IPC", "L2 miss rate"
         );
-        for (p, a, b, l2) in ex::multicore_demo() {
+        for (p, a, b, l2) in ex::multicore_demo(threads) {
             println!("{p:<16} {a:>16.3} {b:>16.3} {l2:>13.1}%");
         }
 
@@ -925,7 +667,7 @@ fn main() {
             "{:<18} {:>12} {:>14} {:>18} {:>14}",
             "pairing", "epoch swaps", "core0 IPC", "contention cycles", "L2 miss rate"
         );
-        let cells = ex::multicore_rerand_cells(threads, 300_000);
+        let (cells, ms) = multicore_campaign(300_000, threads);
         for c in &cells {
             println!(
                 "{:<18} {:>12} {:>14.3} {:>18} {:>13.1}%",
@@ -936,11 +678,7 @@ fn main() {
                 100.0 * c.output.shared_l2.miss_rate()
             );
         }
-        let ms = manifests::build_multicore_manifests(&cells, threads);
-        match manifests::write_manifests(Path::new("results/manifests"), &ms) {
-            Ok(n) => eprintln!("wrote {n} multicore manifests to results/manifests/"),
-            Err(e) => eprintln!("warning: could not write multicore manifests: {e}"),
-        }
+        write_tree("multicore", "results/manifests", &ms);
     }
 
     if want(&args, "ooo") {
@@ -952,7 +690,7 @@ fn main() {
             "{:<12} {:>10} {:>16} {:>16}",
             "app", "base IPC", "naive norm IPC", "VCFR norm IPC"
         );
-        let rows = ex::ooo_preview();
+        let rows = ex::ooo_preview(threads);
         for (n, b, nv, vc) in &rows {
             println!("{n:<12} {b:>10.3} {nv:>16.3} {vc:>16.3}");
         }
@@ -1018,6 +756,49 @@ fn main() {
                 println!("{n:<12} {v:>11.3}%");
             }
             println!("{:<12} {:>11.3}%", "mean", ex::mean(rows.iter().map(|r| r.1)));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<(Opts, Vec<String>), String> {
+        let mut args: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        Opts::parse(&mut args).map(|o| (o, args))
+    }
+
+    #[test]
+    fn accepts_both_flag_forms_and_leaves_the_experiment_names() {
+        let (o, rest) =
+            parse(&["fig3", "--threads", "3", "--scale=4", "frontier", "--shard", "1/2"])
+                .expect("valid flags");
+        assert_eq!(o, Opts { threads: 3, scale: 4, shard: Some((1, 2)) });
+        assert_eq!(rest, ["fig3", "frontier"]);
+        let (o, _) =
+            parse(&["--threads=2", "--scale", "1024", "--shard=0/1"]).expect("valid flags");
+        assert_eq!(o, Opts { threads: 2, scale: 1024, shard: Some((0, 1)) });
+        let (o, _) = parse(&["--threads", "1", "--threads", "5"]).expect("valid flags");
+        assert_eq!((o.threads, o.scale, o.shard), (5, 1, None), "the last value wins");
+    }
+
+    #[test]
+    fn refuses_malformed_and_out_of_range_values_naming_the_flag() {
+        for (argv, flag) in [
+            (&["--shard", "3/2"][..], "--shard"),
+            (&["--shard", "0/0"], "--shard"),
+            (&["--shard=1"], "--shard"),
+            (&["--shard", "a/b"], "--shard"),
+            (&["--scale", "0"], "--scale"),
+            (&["--scale", "5000"], "--scale"),
+            (&["--scale=x"], "--scale"),
+            (&["--threads", "0"], "--threads"),
+            (&["--threads=-1"], "--threads"),
+            (&["check", "--threads"], "--threads"),
+        ] {
+            let e = parse(argv).expect_err(&format!("{argv:?} must be refused"));
+            assert!(e.starts_with(flag), "{argv:?}: {e}");
         }
     }
 }

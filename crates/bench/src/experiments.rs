@@ -10,10 +10,10 @@ use vcfr_rewriter::{
 };
 use vcfr_obs::ProgressEvent;
 use vcfr_sim::{
-    emulate, simulate, DrcBacking, EmulatorCostModel, EngineKind, IntervalSample, Mode,
-    MultiCoreOutput, Session, SimConfig, SimStats,
+    emulate, DrcBacking, EmulatorCostModel, EngineKind, IntervalSample, Mode, MultiCoreOutput,
+    Session, SimConfig, SimOutput, SimStats,
 };
-use vcfr_workloads::{by_name, fig2_suite, spec_suite, spec_suite_scaled, Workload};
+use vcfr_workloads::{by_name, fig2_suite, spec_suite, Workload};
 
 pub use crate::pool::parallel_map;
 pub use crate::{geomean, mean};
@@ -45,6 +45,12 @@ pub type Matrix = Vec<AppResults>;
 /// Randomizes a workload with the standard experiment configuration.
 pub fn randomize_workload(image: &Image) -> RandomizedProgram {
     randomize(image, &RandomizeConfig::with_seed(SEED)).expect("workloads randomize")
+}
+
+/// Runs one experiment cell through the [`Session`] facade — the way
+/// every section of the harness simulates a (program, machine) pair.
+pub fn run_cell(mode: Mode, cfg: &SimConfig, budget: u64) -> SimOutput {
+    Session::new(mode, cfg, budget).and_then(|mut s| s.run()).expect("experiment cell runs").output
 }
 
 /// The five machine configurations of the experiment matrix, in column
@@ -118,28 +124,18 @@ pub fn default_threads() -> usize {
 /// simulator run (one job per app × configuration), so the fan-out is
 /// `5 × apps` wide and no figure ever re-simulates.
 pub fn matrix_over(suite: &[Workload], threads: usize) -> (Matrix, MatrixTiming) {
-    matrix_over_observed(suite, threads, &|_| {})
+    matrix_over_tapped(suite, threads, 0, &|_| {}, &|_| {})
 }
 
-/// [`matrix_over`] with a per-cell observer: `on_cell` fires from the
-/// worker thread as each (app, configuration) run finishes, with that
-/// run's [`RunTiming`]. The repro binary uses it to print live progress
-/// lines for long matrices; the observer sees wall-clock data only, so
-/// attaching it cannot perturb the simulated results.
-pub fn matrix_over_observed(
-    suite: &[Workload],
-    threads: usize,
-    on_cell: &(dyn Fn(&RunTiming) + Sync),
-) -> (Matrix, MatrixTiming) {
-    matrix_over_tapped(suite, threads, 0, &|_| {}, on_cell)
-}
-
-/// [`matrix_over_observed`] with a telemetry tap on every simulator
-/// session: when `progress_every > 0`, each run emits a
-/// [`ProgressEvent`] at every `progress_every`-instruction boundary,
-/// forwarded to `on_progress` from the worker threads. The simulated
-/// results and manifests are bit-identical with the tap on or off —
-/// `repro telemetry-smoke` gates on exactly that.
+/// [`matrix_over`] with two observers. When `progress_every > 0`, each
+/// simulator session emits a [`ProgressEvent`] at every
+/// `progress_every`-instruction boundary, forwarded to `on_progress`
+/// from the worker threads; the simulated results and manifests are
+/// bit-identical with the tap on or off — `repro telemetry-smoke` gates
+/// on exactly that. `on_cell` fires from the worker thread as each
+/// (app, configuration) run finishes, with that run's [`RunTiming`]
+/// (wall-clock data only — the repro binary prints live progress lines
+/// from it).
 pub fn matrix_over_tapped(
     suite: &[Workload],
     threads: usize,
@@ -225,12 +221,7 @@ pub fn matrix_over_tapped(
 pub fn run_app(w: &Workload) -> AppResults {
     let cfg = SimConfig::default();
     let rp = randomize_workload(&w.image);
-    let run = |mode: Mode| {
-        Session::new(mode, &cfg, w.max_insts)
-            .and_then(|mut s| s.run())
-            .expect("app runs")
-            .output
-    };
+    let run = |mode: Mode| run_cell(mode, &cfg, w.max_insts);
     let base = run(Mode::Baseline(&w.image));
     let naive = run(Mode::NaiveIlr(&rp));
     let vcfr512 = run(Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(512) });
@@ -271,14 +262,6 @@ pub fn run_matrix() -> Matrix {
 /// wall-clock timing (the `BENCH_repro.json` payload).
 pub fn run_matrix_timed(threads: usize) -> (Matrix, MatrixTiming) {
     matrix_over(&spec_suite(), threads)
-}
-
-/// [`run_matrix_timed`] over the scale-`scale` suite
-/// (`vcfr_workloads::spec_suite_scaled`): the same programs, with their
-/// outer repeat counts and instruction budgets multiplied, for
-/// longer-horizon timing runs. Scale 1 is the calibrated matrix.
-pub fn run_matrix_timed_scaled(threads: usize, scale: u64) -> (Matrix, MatrixTiming) {
-    matrix_over(&spec_suite_scaled(scale), threads)
 }
 
 /// Measures the superblock fast path on a purpose-built no-stall
@@ -349,23 +332,20 @@ pub struct Fig2Row {
 }
 
 /// Figure 2: performance decrease of instruction-level emulation versus
-/// native execution (paper: hundreds of times).
-pub fn fig2() -> Vec<Fig2Row> {
+/// native execution (paper: hundreds of times), one app per job on
+/// `threads` workers.
+pub fn fig2(threads: usize) -> Vec<Fig2Row> {
     let cfg = SimConfig::default();
-    fig2_suite()
-        .iter()
-        .map(|w| {
-            let native =
-                simulate(Mode::Baseline(&w.image), &cfg, w.max_insts).expect("baseline runs");
-            let emu = emulate(&w.image, &EmulatorCostModel::default(), w.max_insts)
-                .expect("emulation runs");
-            Fig2Row {
-                name: w.name,
-                emulated_cpi: emu.cycles_per_instruction(),
-                slowdown: emu.slowdown_vs(native.stats.cycles),
-            }
-        })
-        .collect()
+    parallel_map(fig2_suite(), threads, |_, w| {
+        let native = run_cell(Mode::Baseline(&w.image), &cfg, w.max_insts);
+        let emu =
+            emulate(&w.image, &EmulatorCostModel::default(), w.max_insts).expect("emulation runs");
+        Fig2Row {
+            name: w.name,
+            emulated_cpi: emu.cycles_per_instruction(),
+            slowdown: emu.slowdown_vs(native.stats.cycles),
+        }
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -600,37 +580,30 @@ pub struct AblationRow {
 }
 
 /// DRC design-space and system-level ablations on one representative
-/// call-heavy application (`gcc`).
-pub fn ablations() -> Vec<AblationRow> {
+/// call-heavy application (`gcc`), one simulator run per job on
+/// `threads` workers.
+pub fn ablations(threads: usize) -> Vec<AblationRow> {
     let w = by_name("gcc").expect("gcc exists");
     let base_cfg = SimConfig::default();
-    let rp = randomize_workload(&w.image);
-    let base =
-        simulate(Mode::Baseline(&w.image), &base_cfg, w.max_insts).expect("baseline runs");
-    let base_ipc = base.stats.ipc();
-
-    let mut rows = Vec::new();
-    let mut push = |setting: String, stats: &SimStats, note: String| {
-        rows.push(AblationRow {
-            setting,
-            normalized_ipc: stats.ipc() / base_ipc,
-            drc_miss_pct: stats.drc.map(|d| 100.0 * d.miss_rate()).unwrap_or(0.0),
-            note,
+    let mut confined = RandomizeConfig::with_seed(SEED);
+    confined.page_confined = true;
+    let layouts =
+        parallel_map(vec![RandomizeConfig::with_seed(SEED), confined], threads, |_, c| {
+            randomize(&w.image, &c).expect("workloads randomize")
         });
-    };
+    let (rp, rp_conf) = (&layouts[0], &layouts[1]);
+    let vcfr = |drc| Mode::Vcfr { program: rp, drc };
+    let drc128 = DrcConfig::direct_mapped(128);
 
+    // (setting, mode, machine, whether the note reports iTLB misses);
+    // the first cell is the baseline every row is normalized by.
+    let mut cells = vec![(String::new(), Mode::Baseline(&w.image), base_cfg, false)];
     // Associativity at fixed capacity (the paper argues direct-mapped
     // suffices).
-    for (entries, ways) in [(128, 1), (128, 2), (128, 4)] {
-        let out = simulate(
-            Mode::Vcfr { program: &rp, drc: DrcConfig { entries, ways } },
-            &base_cfg,
-            w.max_insts,
-        )
-        .expect("vcfr runs");
-        push(format!("drc 128 entries, {ways}-way"), &out.stats, String::new());
+    for ways in [1, 2, 4] {
+        let drc = DrcConfig { entries: 128, ways };
+        cells.push((format!("drc 128 entries, {ways}-way"), vcfr(drc), base_cfg, false));
     }
-
     // Backing store: shared L2 (paper) vs dedicated fixed-latency SRAM.
     for (name, backing) in [
         ("walks via shared L2 (paper)", DrcBacking::SharedL2),
@@ -638,51 +611,36 @@ pub fn ablations() -> Vec<AblationRow> {
         ("dedicated store, 30 cycles", DrcBacking::Dedicated { latency: 30 }),
     ] {
         let cfg = SimConfig { drc_backing: backing, ..base_cfg };
-        let out = simulate(
-            Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) },
-            &cfg,
-            w.max_insts,
-        )
-        .expect("vcfr runs");
-        push(format!("backing: {name}"), &out.stats, String::new());
+        cells.push((format!("backing: {name}"), vcfr(drc128), cfg, false));
     }
-
     // Context switches: flush the DRC periodically.
     for interval in [None, Some(100_000u64), Some(20_000u64)] {
-        let cfg = SimConfig { drc_flush_interval: interval, ..base_cfg };
-        let out = simulate(
-            Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) },
-            &cfg,
-            w.max_insts,
-        )
-        .expect("vcfr runs");
         let name = match interval {
             None => "no context switches (paper)".to_string(),
             Some(n) => format!("DRC flush every {n} insts"),
         };
-        push(name, &out.stats, String::new());
+        let cfg = SimConfig { drc_flush_interval: interval, ..base_cfg };
+        cells.push((name, vcfr(drc128), cfg, false));
     }
-
     // §IV-D page-confined randomization: how much of the naive-ILR pain
     // does confinement recover, and what happens to the iTLB?
-    let full = simulate(Mode::NaiveIlr(&rp), &base_cfg, w.max_insts).expect("naive runs");
-    let mut conf_cfg = RandomizeConfig::with_seed(SEED);
-    conf_cfg.page_confined = true;
-    let rp_conf = randomize(&w.image, &conf_cfg).expect("confined randomize");
-    let confined =
-        simulate(Mode::NaiveIlr(&rp_conf), &base_cfg, w.max_insts).expect("confined runs");
-    push(
-        "naive ILR, full scatter".into(),
-        &full.stats,
-        format!("iTLB misses {}", full.stats.itlb.misses),
-    );
-    push(
-        "naive ILR, page-confined (§IV-D)".into(),
-        &confined.stats,
-        format!("iTLB misses {}", confined.stats.itlb.misses),
-    );
+    cells.push(("naive ILR, full scatter".into(), Mode::NaiveIlr(rp), base_cfg, true));
+    let setting = "naive ILR, page-confined (§IV-D)".to_string();
+    cells.push((setting, Mode::NaiveIlr(rp_conf), base_cfg, true));
 
-    rows
+    let runs = parallel_map(cells, threads, |_, (setting, mode, cfg, itlb)| {
+        (setting, itlb, run_cell(mode, &cfg, w.max_insts).stats)
+    });
+    let base_ipc = runs[0].2.ipc();
+    runs.into_iter()
+        .skip(1)
+        .map(|(setting, itlb, stats)| AblationRow {
+            setting,
+            normalized_ipc: stats.ipc() / base_ipc,
+            drc_miss_pct: stats.drc.map(|d| 100.0 * d.miss_rate()).unwrap_or(0.0),
+            note: if itlb { format!("iTLB misses {}", stats.itlb.misses) } else { String::new() },
+        })
+        .collect()
 }
 
 /// §IV-A option 1 code-size study: expanding safely-randomizable calls
@@ -717,64 +675,76 @@ pub fn entropy() -> Vec<(&'static str, f64)> {
 }
 
 /// §IX future-work preview: the three machines on a 4-wide out-of-order
-/// core, routed through the same [`Session`] facade as the in-order
-/// matrix. Returns `(app, baseline IPC, naive normalized, vcfr
-/// normalized)`.
-pub fn ooo_preview() -> Vec<(&'static str, f64, f64, f64)> {
+/// core (matrix columns base, naive and vcfr128), one (app, machine)
+/// run per job on `threads` workers. Returns `(app, baseline IPC, naive
+/// normalized, vcfr normalized)`.
+pub fn ooo_preview(threads: usize) -> Vec<(&'static str, f64, f64, f64)> {
+    const COLUMNS: [usize; 3] = [0, 1, 3];
     let cfg = SimConfig { engine: EngineKind::Ooo, ..SimConfig::default() };
-    let run = |mode: Mode, budget: u64| {
-        Session::new(mode, &cfg, budget)
-            .and_then(|mut s| s.run())
-            .expect("ooo session runs")
-            .output
-    };
-    spec_suite()
+    let suite = spec_suite();
+    let programs = parallel_map(suite.iter().collect(), threads, |_, w: &Workload| {
+        randomize_workload(&w.image)
+    });
+    let cells: Vec<(usize, usize)> =
+        (0..suite.len()).flat_map(|a| COLUMNS.map(|m| (a, m))).collect();
+    let ipc = parallel_map(cells, threads, |_, (a, m)| {
+        let w = &suite[a];
+        run_cell(matrix_mode(m, &w.image, &programs[a]), &cfg, w.max_insts).stats.ipc()
+    });
+    suite
         .iter()
-        .map(|w| {
-            let rp = randomize_workload(&w.image);
-            let base = run(Mode::Baseline(&w.image), w.max_insts);
-            let naive = run(Mode::NaiveIlr(&rp), w.max_insts);
-            let vcfr = run(
-                Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) },
-                w.max_insts,
-            );
-            let b = base.stats.ipc();
-            (w.name, b, naive.stats.ipc() / b, vcfr.stats.ipc() / b)
-        })
+        .zip(ipc.chunks_exact(COLUMNS.len()))
+        .map(|(w, c)| (w.name, c[0], c[1] / c[0], c[2] / c[0]))
         .collect()
 }
 
 /// Layout-sensitivity study: the paper evaluates one randomized layout
 /// per binary; here each app is re-randomized with several seeds and the
 /// headline metrics are reported as mean ± spread, showing how much the
-/// conclusions depend on the particular layout drawn.
-pub fn seed_variance(names: &[&str], seeds: &[u64]) -> Vec<(String, f64, f64, f64, f64)> {
+/// conclusions depend on the particular layout drawn. One layout, then
+/// one simulator run, per job on `threads` workers.
+pub fn seed_variance(
+    names: &[&str],
+    seeds: &[u64],
+    threads: usize,
+) -> Vec<(String, f64, f64, f64, f64)> {
     let cfg = SimConfig::default();
+    let suite: Vec<Workload> = names.iter().map(|n| by_name(n).expect("known workload")).collect();
+    let layouts: Vec<(usize, u64)> =
+        (0..suite.len()).flat_map(|a| seeds.iter().map(move |&s| (a, s))).collect();
+    let programs = parallel_map(layouts, threads, |_, (a, seed)| {
+        randomize(&suite[a].image, &RandomizeConfig::with_seed(seed)).expect("randomizes")
+    });
+    // Per app: the baseline, then (naive, vcfr128) for each seed.
+    let per_app = 1 + 2 * seeds.len();
+    let cells: Vec<(usize, usize)> =
+        (0..suite.len()).flat_map(|a| (0..per_app).map(move |c| (a, c))).collect();
+    let ipc = parallel_map(cells, threads, |_, (a, c)| {
+        let w = &suite[a];
+        let mode = match c {
+            0 => Mode::Baseline(&w.image),
+            c => {
+                let rp = &programs[a * seeds.len() + (c - 1) / 2];
+                if c % 2 == 1 {
+                    Mode::NaiveIlr(rp)
+                } else {
+                    Mode::Vcfr { program: rp, drc: DrcConfig::direct_mapped(128) }
+                }
+            }
+        };
+        run_cell(mode, &cfg, w.max_insts).stats.ipc()
+    });
+    let spread = |v: &[f64]| {
+        let lo = v.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        hi - lo
+    };
     names
         .iter()
-        .map(|name| {
-            let w = by_name(name).expect("known workload");
-            let base = simulate(Mode::Baseline(&w.image), &cfg, w.max_insts).expect("runs");
-            let mut naive_norm = Vec::new();
-            let mut vcfr_norm = Vec::new();
-            for &seed in seeds {
-                let rp = randomize(&w.image, &RandomizeConfig::with_seed(seed))
-                    .expect("randomizes");
-                let n = simulate(Mode::NaiveIlr(&rp), &cfg, w.max_insts).expect("runs");
-                let v = simulate(
-                    Mode::Vcfr { program: &rp, drc: DrcConfig::direct_mapped(128) },
-                    &cfg,
-                    w.max_insts,
-                )
-                .expect("runs");
-                naive_norm.push(n.stats.ipc() / base.stats.ipc());
-                vcfr_norm.push(v.stats.ipc() / base.stats.ipc());
-            }
-            let spread = |v: &[f64]| {
-                let lo = v.iter().cloned().fold(f64::INFINITY, f64::min);
-                let hi = v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                hi - lo
-            };
+        .zip(ipc.chunks_exact(per_app))
+        .map(|(name, c)| {
+            let naive_norm: Vec<f64> = c[1..].iter().step_by(2).map(|v| v / c[0]).collect();
+            let vcfr_norm: Vec<f64> = c[2..].iter().step_by(2).map(|v| v / c[0]).collect();
             (
                 name.to_string(),
                 mean(naive_norm.iter().copied()),
@@ -797,45 +767,40 @@ fn duo(modes: Vec<Mode>, cfg: &SimConfig, budget: u64) -> MultiCoreOutput {
 }
 
 /// §IV-D multi-core demonstration: two cores over a shared L2, each
-/// running a (differently) randomized program. Returns
-/// `(pairing, core0 norm IPC, core1 norm IPC, shared-L2 miss rate %)`.
-pub fn multicore_demo() -> Vec<(String, f64, f64, f64)> {
+/// running a (differently) randomized program; one pairing per job on
+/// `threads` workers. Returns `(pairing, core0 norm IPC, core1 norm IPC,
+/// shared-L2 miss rate %)`.
+pub fn multicore_demo(threads: usize) -> Vec<(String, f64, f64, f64)> {
     let cfg = SimConfig { engine: EngineKind::Multicore { cores: 2 }, ..SimConfig::default() };
     let a = by_name("hmmer").expect("known");
     let b = by_name("h264ref").expect("known");
     let budget = 300_000;
-
-    let solo = duo(vec![Mode::Baseline(&a.image), Mode::Baseline(&b.image)], &cfg, budget);
-    let base0 = solo.per_core[0].ipc();
-    let base1 = solo.per_core[1].ipc();
-
-    let rp_a = randomize(&a.image, &RandomizeConfig::with_seed(SEED)).expect("randomizes");
-    let rp_b =
-        randomize(&b.image, &RandomizeConfig::with_seed(SEED + 1)).expect("randomizes");
-
-    let mut rows = Vec::new();
-    let vcfr = duo(
-        vec![
-            Mode::Vcfr { program: &rp_a, drc: DrcConfig::direct_mapped(128) },
-            Mode::Vcfr { program: &rp_b, drc: DrcConfig::direct_mapped(128) },
-        ],
-        &cfg,
-        budget,
-    );
-    rows.push((
-        "VCFR + VCFR".to_string(),
-        vcfr.per_core[0].ipc() / base0,
-        vcfr.per_core[1].ipc() / base1,
-        100.0 * vcfr.shared_l2.miss_rate(),
-    ));
-    let naive = duo(vec![Mode::NaiveIlr(&rp_a), Mode::NaiveIlr(&rp_b)], &cfg, budget);
-    rows.push((
-        "naive + naive".to_string(),
-        naive.per_core[0].ipc() / base0,
-        naive.per_core[1].ipc() / base1,
-        100.0 * naive.shared_l2.miss_rate(),
-    ));
-    rows
+    let rps = parallel_map(vec![(&a, SEED), (&b, SEED + 1)], threads, |_, (w, seed)| {
+        randomize(&w.image, &RandomizeConfig::with_seed(seed)).expect("randomizes")
+    });
+    let drc = DrcConfig::direct_mapped(128);
+    // The first pairing is the solo baseline every row is normalized by.
+    let pairings = vec![
+        ("", vec![Mode::Baseline(&a.image), Mode::Baseline(&b.image)]),
+        (
+            "VCFR + VCFR",
+            vec![Mode::Vcfr { program: &rps[0], drc }, Mode::Vcfr { program: &rps[1], drc }],
+        ),
+        ("naive + naive", vec![Mode::NaiveIlr(&rps[0]), Mode::NaiveIlr(&rps[1])]),
+    ];
+    let runs = parallel_map(pairings, threads, |_, (name, modes)| (name, duo(modes, &cfg, budget)));
+    let (base0, base1) = (runs[0].1.per_core[0].ipc(), runs[0].1.per_core[1].ipc());
+    runs[1..]
+        .iter()
+        .map(|(name, o)| {
+            (
+                name.to_string(),
+                o.per_core[0].ipc() / base0,
+                o.per_core[1].ipc() / base1,
+                100.0 * o.shared_l2.miss_rate(),
+            )
+        })
+        .collect()
 }
 
 /// Live-rerandomization epoch of the multicore matrix cells, in

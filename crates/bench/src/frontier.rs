@@ -12,7 +12,7 @@
 //! tree.
 
 use crate::campaign::fault_plan_for;
-use crate::experiments::{parallel_map, SEED};
+use crate::experiments::{parallel_map, run_cell, SEED};
 use std::fmt::Write as _;
 use vcfr_core::{DrcConfig, RandParams};
 use vcfr_gadget::{fuzz_trial, seed_corpus, AttackSurface, FuzzConfig, TrialReport};
@@ -174,22 +174,14 @@ pub fn run_frontier(w: &Workload, points: &[FrontierPoint], fz: &FuzzConfig, thr
 
     // Defender half: per point, a clean VCFR run and a faulted one.
     let base_cfg = SimConfig::default();
-    let base = Session::new(Mode::Baseline(&w.image), &base_cfg, w.max_insts)
-        .and_then(|mut s| s.run())
-        .expect("baseline runs")
-        .output
-        .stats;
+    let base = run_cell(Mode::Baseline(&w.image), &base_cfg, w.max_insts).stats;
     let sims: Vec<(SimStats, FaultStats)> = parallel_map(points.to_vec(), threads, |_, p| {
         let params = p.params();
         let rp = randomize(&w.image, &RandomizeConfig::from_params(SEED, &params))
             .unwrap_or_else(|e| panic!("point {} cannot hold {}: {e}", p.label(), w.name));
         let cfg = SimConfig::builder().rand_params(Some(params)).build().expect("valid point");
         let mode = || Mode::Vcfr { program: &rp, drc: params.drc };
-        let clean = Session::new(mode(), &cfg, w.max_insts)
-            .and_then(|mut s| s.run())
-            .expect("frontier run")
-            .output
-            .stats;
+        let clean = run_cell(mode(), &cfg, w.max_insts).stats;
         let plan = fault_plan_for(w.name, w.max_insts);
         let faulted = Session::new(mode(), &cfg, w.max_insts)
             .map(|s| s.with_faults(&plan))

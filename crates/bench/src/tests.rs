@@ -60,8 +60,7 @@ fn means_behave() {
 
 #[test]
 fn fig2_rows_are_triple_digit_slowdowns() {
-    // Only the two cheapest Fig 2 apps, to keep the test fast.
-    let rows = ex::fig2();
+    let rows = ex::fig2(2);
     assert_eq!(rows.len(), 6);
     for r in rows {
         assert!(r.slowdown > 20.0, "{}: {}", r.name, r.slowdown);

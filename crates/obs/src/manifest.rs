@@ -11,7 +11,7 @@
 //!   "app": "...",            // workload name
 //!   "mode": "...",           // machine configuration column
 //!   "config": { "fingerprint": "...", ... },
-//!   "counters": { ... },     // nested registry snapshot (sim.* names)
+//!   "counters": { ... },     // nested counter snapshot (sim.* names)
 //!   "derived": { ... },      // ipc, miss rates, slow-path ratios
 //!   "audit": { ... },        // cycle-accounting identity terms
 //!   "samples": [ ... ],      // interval samples (phase behaviour)
@@ -26,7 +26,7 @@
 //! `vcfr report --against` both compare through that canonical form.
 
 use crate::json::{parse_json, Json, JsonError};
-use crate::registry::Snapshot;
+use crate::snapshot::Snapshot;
 
 /// Current manifest schema version.
 pub const MANIFEST_SCHEMA_VERSION: u64 = 1;
@@ -85,7 +85,7 @@ impl Manifest {
         self
     }
 
-    /// Sets the counters block from a registry snapshot.
+    /// Sets the counters block from a counter snapshot.
     pub fn set_counters(&mut self, snapshot: &Snapshot) -> &mut Manifest {
         self.doc.set("counters", snapshot.to_json());
         self

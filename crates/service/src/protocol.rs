@@ -130,9 +130,10 @@ impl JobSpec {
                 "max_insts must be at least 1 instruction".to_string(),
             ));
         }
-        if self.scale == 0 || self.scale > 1024 {
+        if self.scale == 0 || self.scale > vcfr_workloads::MAX_SCALE {
             return Err(ServiceError::Protocol(format!(
-                "scale must be between 1 and 1024 (got {})",
+                "scale must be between 1 and {} (got {})",
+                vcfr_workloads::MAX_SCALE,
                 self.scale
             )));
         }

@@ -91,6 +91,9 @@ pub fn by_name(name: &str) -> Option<Workload> {
     by_name_scaled(name, 1)
 }
 
+/// The largest scale factor the harness and the service accept.
+pub const MAX_SCALE: u64 = 1024;
+
 /// Builds the workload with the given name, with its outer repeat count
 /// and instruction budget multiplied by `scale` (clamped to at least 1).
 /// Scale 1 reproduces the unscaled program byte-identically; larger
